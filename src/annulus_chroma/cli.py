@@ -31,7 +31,7 @@ from .radial import (
     thresholds,
     verify_radial_coloring,
 )
-from .schema import SchemaError
+from .schema import SchemaError, require_tolerance
 from .svg import render_embedding, render_radial_coloring
 from .udg import MAX_VERTICES, chromatic_number_exact, graph_from_json
 from . import __version__
@@ -51,18 +51,15 @@ def _fail(message: str, code: int) -> int:
 
 def _resolve_tolerance(args) -> float:
     if args.tolerance is not None:
-        value = args.tolerance
-    else:
-        raw = os.environ.get(TOLERANCE_ENV)
-        if raw is None:
-            return DEFAULT_TOLERANCE
-        try:
-            value = float(raw)
-        except ValueError:
-            raise SchemaError(f"{TOLERANCE_ENV} must be a number, got {raw!r}")
-    if value <= 0.0:
-        raise SchemaError(f"tolerance must be positive, got {value}")
-    return value
+        return require_tolerance(args.tolerance, "--tolerance")
+    raw = os.environ.get(TOLERANCE_ENV)
+    if raw is None:
+        return DEFAULT_TOLERANCE
+    try:
+        value = float(raw)
+    except ValueError:
+        raise SchemaError(f"{TOLERANCE_ENV} must be a number, got {raw!r}")
+    return require_tolerance(value, TOLERANCE_ENV)
 
 
 def _emit(args, content: str) -> None:
@@ -182,7 +179,7 @@ def _run_embedder(args):
         return embed_odd_cycle(args.r)
     if args.gadget == "trirod":
         return embed_trirod(args.r)
-    return embed_moser_spindle(args.r, seed=args.seed)
+    return embed_moser_spindle(args.r)
 
 
 def cmd_embed(args) -> int:
@@ -271,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     embed = sub.add_parser("embed", help="embed a gadget into the annulus")
     embed.add_argument("--gadget", choices=("rod", "cycle", "trirod", "spindle"), required=True)
     embed.add_argument("--r", type=float, required=True, help="annulus half-width, 0 < r < 1/2")
-    embed.add_argument("--seed", type=int, default=0, help="seed for the placement search")
+    embed.add_argument("--seed", type=int, default=0,
+                       help="ignored: the spindle placement is closed-form (kept for older scripts)")
     _add_common(embed, ("json", "svg", "text"), "json")
     embed.set_defaults(func=cmd_embed)
 

@@ -10,10 +10,7 @@ bounds on the chromatic number of the annulus.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import Annulus, Point, TWO_PI
 from .schema import (
@@ -58,7 +55,7 @@ class GadgetInfeasible(ValueError):
 
 
 class PlacementSearchError(RuntimeError):
-    """No valid placement found even though the threshold condition holds."""
+    """No odd cycle with at most n_max vertices fits the annulus (r below about 6e-5 by default)."""
 
 
 @dataclass(frozen=True)
@@ -268,113 +265,25 @@ def spindle_points() -> tuple[Point, ...]:
     return tuple(pts)
 
 
-def _placement_margin(base: np.ndarray, annulus: Annulus, rotation: float, tx: float, ty: float) -> float:
-    c, s = math.cos(rotation), math.sin(rotation)
-    worst = math.inf
-    for x, y in base:
-        px = c * x - s * y + tx
-        py = s * x + c * y + ty
-        rho = math.hypot(px, py)
-        worst = min(worst, rho - annulus.inner_radius, annulus.outer_radius - rho)
-    return worst
+def embed_moser_spindle(r: float) -> GadgetEmbedding:
+    """The spindle with its minimal enclosing circle centered on the annulus center.
 
-
-def _refine_placement(
-    base: np.ndarray, annulus: Annulus, rotation: float, tx: float, ty: float, step: float
-) -> tuple[float, float, float, float]:
-    """Coordinate descent on margin over (rotation, tx, ty), shrinking steps."""
-    margin = _placement_margin(base, annulus, rotation, tx, ty)
-    step_rot = step
-    while step > 1e-13:
-        moves = [(step_rot, 0.0, 0.0), (-step_rot, 0.0, 0.0)]
-        for dx in (-step, 0.0, step):
-            for dy in (-step, 0.0, step):
-                if dx or dy:
-                    moves.append((0.0, dx, dy))
-        best = None
-        for drot, dx, dy in moves:
-            m = _placement_margin(base, annulus, rotation + drot, tx + dx, ty + dy)
-            if m > margin and (best is None or m > best[0]):
-                best = (m, drot, dx, dy)
-        if best is None:
-            step *= 0.5
-            step_rot *= 0.5
-        else:
-            margin = best[0]
-            rotation += best[1]
-            tx += best[2]
-            ty += best[3]
-    return margin, rotation, tx, ty
-
-
-def embed_moser_spindle(r: float, seed: int = 0, grid: int = 64) -> GadgetEmbedding:
-    """Search rigid placements of the spindle inside the annulus, maximizing margin.
-
-    Coarse grid over rotations and hub translations, then coordinate-descent
-    refinement from the best grid cells plus one analytic candidate (the
-    spindle's minimal enclosing circle, radius 3/sqrt(11), centered on the
-    annulus center).  Deterministic for a fixed seed; the seed only drives
-    jitter restarts if the deterministic phase somehow ends nonpositive.
+    That circle has radius 3/sqrt(11) and passes through the hub and both
+    far apexes, so shifting the canonical spindle by (-3/sqrt(11), 0) puts
+    those three vertices at distance r - SPINDLE_THRESHOLD inside the outer
+    circle.  No placement does better: every rigid motion leaves some vertex
+    at least 3/sqrt(11) from the center.  The nearest vertex then lies at
+    radius about 0.239, above every inner radius the feasible range allows
+    (1/2 - r < 0.0955), so the margin is exactly r - SPINDLE_THRESHOLD.
     """
     annulus = Annulus(r)
     if r <= SPINDLE_THRESHOLD:
         raise GadgetInfeasible("moser_spindle", r, SPINDLE_THRESHOLD)
-    base = np.asarray(spindle_points())
-    inner, outer = annulus.inner_radius, annulus.outer_radius
-
-    rotations = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    shifts = np.linspace(-outer, outer, grid)
-    spacing = shifts[1] - shifts[0]
-
-    candidates: list[tuple[float, float, float, float]] = []
-    for rotation in rotations:
-        c, s = math.cos(rotation), math.sin(rotation)
-        rx = c * base[:, 0] - s * base[:, 1]
-        ry = s * base[:, 0] + c * base[:, 1]
-        px = rx[:, None, None] + shifts[None, :, None]
-        py = ry[:, None, None] + shifts[None, None, :]
-        rho = np.hypot(px, py)
-        margins = np.minimum(rho - inner, outer - rho).min(axis=0)
-        flat = margins.ravel()
-        for idx in np.argpartition(flat, -4)[-4:]:
-            i, j = divmod(int(idx), grid)
-            candidates.append((float(flat[idx]), float(rotation), float(shifts[i]), float(shifts[j])))
-
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
-    starts = [(rot, tx, ty) for _, rot, tx, ty in candidates[:8]]
-    # Analytic candidate: center the spindle's minimal enclosing circle.
-    starts.append((0.0, -3.0 / math.sqrt(11.0), 0.0))
-
-    best: tuple[float, float, float, float] | None = None
-    for rot, tx, ty in starts:
-        refined = _refine_placement(base, annulus, rot, tx, ty, spacing)
-        if best is None or refined[0] > best[0]:
-            best = refined
-
-    if best is None or best[0] <= 0.0:
-        rng = random.Random(seed)
-        for _ in range(64):
-            rot = rng.uniform(0.0, TWO_PI)
-            tx = rng.uniform(-outer, outer)
-            ty = rng.uniform(-outer, outer)
-            refined = _refine_placement(base, annulus, rot, tx, ty, spacing)
-            if best is None or refined[0] > best[0]:
-                best = refined
-            if best[0] > 0.0:
-                break
-
-    if best is None or best[0] <= 0.0:
-        raise PlacementSearchError(
-            f"no interior spindle placement found at r = {r!r} despite r > {SPINDLE_THRESHOLD!r}; "
-            "this contradicts the expected embeddability and needs investigation"
-        )
-
-    margin, rotation, tx, ty = best
-    placement = Placement(rotation, (tx, ty))
+    placement = Placement(0.0, (-3.0 / math.sqrt(11.0), 0.0))
     vertices = placement.apply(spindle_points())
     return GadgetEmbedding(
         kind="moser_spindle",
-        params={"r": r, "rotation": rotation, "translation": [tx, ty]},
+        params={"r": r, "rotation": placement.rotation, "translation": list(placement.translation)},
         vertices=vertices,
         edges=SPINDLE_EDGES,
         margin=margin_of(vertices, annulus),
@@ -389,7 +298,7 @@ class LowerBoundResult:
     certificates: tuple[tuple[str, GadgetEmbedding], ...]
 
 
-def gadget_lower_bound(r: float, steps: int = 360, seed: int = 0) -> LowerBoundResult:
+def gadget_lower_bound(r: float, steps: int = 360) -> LowerBoundResult:
     """Largest chromatic lower bound certified by embeddable gadgets.
 
     An odd cycle always embeds and certifies 3.  The bound rises to 4 when
@@ -407,7 +316,7 @@ def gadget_lower_bound(r: float, steps: int = 360, seed: int = 0) -> LowerBoundR
             certificates.append(("tri_rod", tri))
             bound = 4
     try:
-        spindle = embed_moser_spindle(r, seed=seed)
+        spindle = embed_moser_spindle(r)
     except GadgetInfeasible:
         pass
     else:

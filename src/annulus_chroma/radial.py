@@ -247,8 +247,14 @@ def max_color_class_span(coloring: RadialColoring) -> dict[int, float]:
 def spans_within_unit_sector(coloring: RadialColoring) -> bool:
     """Whether every color's sector span fits inside one unit-chord sector.
 
-    Holds for every proper radial coloring: a color class whose interior
-    needs more than theta of arc would contain a unit chord.
+    Holds for every proper radial coloring with theta <= 2*pi/3, that is
+    from the end of the 3-color band on (r >= (2 - sqrt(3))/(2*sqrt(3))):
+    same-colored pieces must stay less than theta apart in circular angle
+    (any pair at angle in [theta, pi] contains a unit pair), and with
+    theta <= 2*pi/3 such points fit in one arc of width theta.  Inside the
+    3-color band a proper coloring can break it: three thin sectors of one
+    color spaced 2*pi/3 apart are pairwise closer than theta yet span about
+    4*pi/3.
     """
     limit = unit_chord_angle(coloring.annulus.outer_radius) + SPAN_SLACK
     return all(span <= limit for span in max_color_class_span(coloring).values())

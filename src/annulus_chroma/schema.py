@@ -6,7 +6,12 @@ with list indices) so malformed documents are diagnosable.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
+
+# Widest geometric tolerance accepted from outside the program: beyond it a
+# "unit distance" could be off by more than any rounding error explains.
+MAX_TOLERANCE = 1e-3
 
 
 class SchemaError(ValueError):
@@ -16,7 +21,18 @@ class SchemaError(ValueError):
 def require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: expected a finite number, got {value}")
+    return value
+
+
+def require_tolerance(value, where: str) -> float:
+    """A finite geometric tolerance with 0 < tolerance <= MAX_TOLERANCE."""
+    value = require_number(value, where)
+    if not 0.0 < value <= MAX_TOLERANCE:
+        raise SchemaError(f"{where}: tolerance must be positive and at most {MAX_TOLERANCE}, got {value}")
+    return value
 
 
 def require_int(value, where: str) -> int:

@@ -19,8 +19,8 @@ from .schema import (
     require_int,
     require_keys,
     require_list,
-    require_number,
     require_point,
+    require_tolerance,
 )
 
 MAX_VERTICES = 64
@@ -78,8 +78,8 @@ class UnitDistanceGraph:
 
 def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> UnitDistanceGraph:
     """Graph whose edges are exactly the point pairs at distance 1 within tolerance."""
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     pts = [(float(x), float(y)) for x, y in points]
     edges = []
     for i in range(len(pts)):
@@ -226,7 +226,7 @@ def graph_from_json(data: dict) -> UnitDistanceGraph:
             require_point(p, f"graph.points[{i}]")
             for i, p in enumerate(require_list(data["points"], "graph.points"))
         ]
-        tolerance = require_number(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
+        tolerance = require_tolerance(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
         if not pts:
             raise SchemaError("graph.points: must not be empty")
         try:

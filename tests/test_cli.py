@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import annulus_chroma
 from annulus_chroma.cli import main
 from annulus_chroma.gadgets import SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
 from annulus_chroma.radial import coloring_from_json, thresholds, verify_radial_coloring
@@ -142,6 +147,11 @@ class TestEmbed:
         assert payload["kind"] == "moser_spindle"
         assert payload["margin"] > 0
 
+    def test_spindle_seed_is_ignored(self, capsys):
+        outputs = {run(capsys, "embed", "--gadget", "spindle", "--r", "0.42", *seed)[1]
+                   for seed in ((), ("--seed", "1"), ("--seed", "7"))}
+        assert len(outputs) == 1
+
     def test_spindle_infeasible(self, capsys):
         code, _, err = run(capsys, "embed", "--gadget", "spindle", "--r", "0.3")
         assert code == 1
@@ -184,8 +194,42 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", str(path))
         assert code == 2
 
+    def test_nan_tolerance_gives_no_verdict(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"points": [[0, 0], [1, 0]], "tolerance": NaN}')
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert "graph.tolerance" in err
+
+
+def improper_coloring_file(capsys, tmp_path):
+    path = tmp_path / "coloring.json"
+    run(capsys, "construct", "--r", "0.3", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["sector_colors"] = [0] * len(doc["sector_colors"])
+    path.write_text(json.dumps(doc))
+    return path
+
 
 class TestToleranceHandling:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1e-2"])
+    def test_absurd_flag_gives_no_verdict(self, capsys, tmp_path, value):
+        path = improper_coloring_file(capsys, tmp_path)
+        code, out, err = run(capsys, "verify", str(path), "--tolerance", value)
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_env_gives_no_verdict(self, capsys, tmp_path, monkeypatch, value):
+        path = improper_coloring_file(capsys, tmp_path)
+        monkeypatch.setenv("ANNULUS_CHROMA_TOLERANCE", value)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "ANNULUS_CHROMA_TOLERANCE" in err
+
     def test_negative_flag_rejected(self, capsys, tmp_path):
         path = tmp_path / "coloring.json"
         run(capsys, "construct", "--r", "0.2", "--out", str(path))
@@ -226,3 +270,13 @@ class TestParser:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_out_numpy(self):
+        src = Path(annulus_chroma.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, annulus_chroma.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

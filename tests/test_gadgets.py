@@ -223,9 +223,10 @@ class TestSpindleEmbedding:
         assert emb.margin <= r - SPINDLE_THRESHOLD + 1e-9
 
     def test_margin_close_to_optimum(self):
-        for r in (0.41, 0.45, 0.49):
+        for k in range(60):
+            r = SPINDLE_THRESHOLD + 1e-9 + k * (0.4999 - SPINDLE_THRESHOLD) / 59
             emb = embed_moser_spindle(r)
-            assert emb.margin == pytest.approx(r - SPINDLE_THRESHOLD, abs=1e-6)
+            assert emb.margin == pytest.approx(r - SPINDLE_THRESHOLD, abs=1e-12)
 
     def test_embedded_graph_is_spindle(self):
         emb = embed_moser_spindle(0.45)

@@ -245,6 +245,19 @@ class TestSpans:
         c = RadialColoring(Annulus(0.1), (0.0, math.pi), (0, 0), (0, 0))
         assert max_color_class_span(c)[0] == pytest.approx(TWO_PI, abs=1e-12)
 
+    def test_span_bound_fails_in_three_color_band(self):
+        # three thin color-0 sectors 2*pi/3 apart: pairwise closer than theta,
+        # so proper, yet together they span about 4*pi/3 > theta
+        third = TWO_PI / 3.0
+        colors = (0, 1, 0, 2, 0, 3)
+        c = RadialColoring(
+            Annulus(0.05), (0.0, 0.01, third, third + 0.01, 2 * third, 2 * third + 0.01), colors, colors
+        )
+        assert verify_radial_coloring(c).proper
+        assert max_color_class_span(c)[0] == pytest.approx(4.199, abs=1e-3)
+        assert unit_chord_angle(0.55) == pytest.approx(2.282, abs=1e-3)
+        assert not spans_within_unit_sector(c)
+
     def test_proper_random_colorings_satisfy_span_bound(self):
         rng = random.Random(3030)
         checked = 0

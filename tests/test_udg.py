@@ -42,6 +42,11 @@ class TestBuildUdg:
         with pytest.raises(ValueError):
             build_udg([(0.0, 0.0)], -1e-9)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="finite"):
+            build_udg([(0.0, 0.0), (1.0, 0.0)], tolerance)
+
     def test_tolerance_widens_detection(self):
         pts = [(0.0, 0.0), (1.0005, 0.0)]
         assert build_udg(pts, 1e-9).edges == ()
@@ -173,6 +178,16 @@ class TestJson:
     def test_points_form_default_tolerance(self):
         g = graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]]})
         assert g.edges == ((0, 1),)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, 1e-2])
+    def test_points_form_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(SchemaError, match="graph.tolerance"):
+            graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]], "tolerance": tolerance})
+
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, coordinate):
+        with pytest.raises(SchemaError, match=r"points\[1\]\[0\]: expected a finite number"):
+            graph_from_json({"points": [[0.0, 0.0], [coordinate, 0.0]]})
 
     def test_bad_point_position_reported(self):
         with pytest.raises(SchemaError, match=r"points\[1\]"):
