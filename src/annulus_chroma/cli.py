@@ -234,6 +234,10 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...], defau
     parser.add_argument("--format", choices=formats, default=default_format,
                         help=f"output format (default: {default_format})")
     parser.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
+
+
+def _add_tolerance(parser: argparse.ArgumentParser) -> None:
+    """Only the subcommands that read a tolerance take the flag, so elsewhere it is a usage error."""
     parser.add_argument("--tolerance", type=float, default=None,
                         help=f"geometric tolerance (default 1e-9, or ${TOLERANCE_ENV})")
 
@@ -258,11 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser("construct", help="build a proper radial coloring")
     construct.add_argument("--r", type=float, required=True, help="annulus half-width, 0 < r < 1/2")
     _add_common(construct, ("json", "svg"), "json")
+    _add_tolerance(construct)
     construct.set_defaults(func=cmd_construct)
 
     verify = sub.add_parser("verify", help="verify a radial coloring JSON file")
     verify.add_argument("path", help="path to a RadialColoring JSON document")
     _add_common(verify, ("text", "json"), "text")
+    _add_tolerance(verify)
     verify.set_defaults(func=cmd_verify)
 
     embed = sub.add_parser("embed", help="embed a gadget into the annulus")

@@ -3,12 +3,16 @@
 The solver is graph-generic: geometry enters only through build_udg, which
 turns a point set into a graph by connecting pairs at distance 1 (within a
 tolerance).  Chromatic numbers come from branch-and-bound with a greedy
-clique lower bound, DSATUR-style saturation ordering, and color-symmetry
-breaking, so small instances solve exactly and deterministically.
+clique lower bound, DSATUR-style saturation ordering (Brelaz 1979), and
+color-symmetry breaking, so small instances solve exactly and
+deterministically.  Vertex sets are Python ints used as bitsets (in the
+style of San Segundo et al. 2012): the search keeps the uncolored vertices
+as one int and visits only the uncolored neighbours of each painted vertex.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +28,11 @@ from .schema import (
 )
 
 MAX_VERTICES = 64
+
+# One shared tuple per vertex pair of a solver-sized graph: a graph holds a
+# pointer per edge instead of its own 2-tuple, which matters when many
+# graphs are alive at once.
+_PAIRS = {pair: pair for pair in itertools.combinations(range(MAX_VERTICES), 2)}
 
 ColoringAssignment = tuple[int, ...]
 
@@ -53,6 +62,7 @@ class UnitDistanceGraph:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             edge = (i, j) if i < j else (j, i)
+            edge = _PAIRS.get(edge, edge)
             if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
@@ -103,32 +113,62 @@ def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
 
 def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
     """Maximal clique grown greedily by descending degree; a chromatic lower bound."""
-    masks = graph.adjacency_masks()
-    order = sorted(range(graph.n), key=lambda v: (-bin(masks[v]).count("1"), v))
-    clique: list[int] = []
-    for v in order:
-        if all(masks[v] >> u & 1 for u in clique):
-            clique.append(v)
-    return clique
+    return _greedy_clique(graph.adjacency_masks())
 
 
 def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
     """Proper coloring by repeatedly coloring the most saturated uncolored vertex."""
-    masks = graph.adjacency_masks()
-    colors = [-1] * graph.n
-    sat = [0] * graph.n  # bitmask of colors adjacent to each vertex
-    for _ in range(graph.n):
-        v = max(
-            (u for u in range(graph.n) if colors[u] == -1),
-            key=lambda u: (bin(sat[u]).count("1"), bin(masks[u]).count("1"), -u),
-        )
-        c = 0
-        while sat[v] >> c & 1:
-            c += 1
+    return _greedy_coloring(graph.adjacency_masks())
+
+
+def _greedy_clique(masks: list[int]) -> list[int]:
+    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
+    clique: list[int] = []
+    member = 0
+    for v in order:
+        if masks[v] & member == member:
+            clique.append(v)
+            member |= 1 << v
+    return clique
+
+
+def _most_saturated(free: int, rank: list[int]) -> int:
+    """The vertex of ``free`` with the highest rank; the lowest index wins ties.
+
+    A rank is n * saturation + degree with degree < n, so comparing ranks
+    compares (saturation, degree) in that order.
+    """
+    best = -1
+    while free:
+        low = free & -free
+        u = low.bit_length() - 1
+        if rank[u] > best:
+            best = rank[u]
+            v = u
+        free ^= low
+    return v
+
+
+def _greedy_coloring(masks: list[int]) -> ColoringAssignment:
+    n = len(masks)
+    colors = [-1] * n
+    sat = [0] * n  # bitmask of colors adjacent to each vertex
+    rank = [m.bit_count() for m in masks]  # see _most_saturated
+    free = (1 << n) - 1
+    while free:
+        v = _most_saturated(free, rank)
+        free ^= 1 << v
+        c = (~sat[v] & (sat[v] + 1)).bit_length() - 1
         colors[v] = c
-        for u in range(graph.n):
-            if masks[v] >> u & 1:
-                sat[u] |= 1 << c
+        bit = 1 << c
+        rest = masks[v] & free
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if not sat[u] & bit:
+                sat[u] |= bit
+                rank[u] += n
+            rest ^= low
     return tuple(colors)
 
 
@@ -139,55 +179,64 @@ def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | 
     pre-colored 0, 1, 2, ... and elsewhere new colors are only introduced in
     order, which breaks color-permutation symmetry without losing
     completeness.
+
+    The uncolored vertices are one int bitset, and painting a vertex updates
+    the saturation of its uncolored neighbours only: colored vertices are
+    uncolored again in reverse order, so their saturation is never read
+    stale.
     """
     n = len(masks)
     if len(seed) > k:
         return None
     colors = [-1] * n
-    sat = [0] * n
-    degrees = [bin(m).count("1") for m in masks]
-
-    def paint(v: int, c: int) -> list[int]:
+    sat = [0] * n  # bitmask of colors adjacent to each vertex
+    rank = [m.bit_count() for m in masks]  # see _most_saturated
+    free = (1 << n) - 1
+    for c, v in enumerate(seed):
         colors[v] = c
-        touched = []
+        free ^= 1 << v
         bit = 1 << c
-        for u in range(n):
-            if masks[v] >> u & 1 and not sat[u] & bit:
-                sat[u] |= bit
-                touched.append(u)
-        return touched
+        rest = masks[v] & free
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            sat[u] |= bit
+            rank[u] += n
+            rest ^= low
+    limit = k * n
 
-    def unpaint(v: int, c: int, touched: list[int]) -> None:
-        colors[v] = -1
-        bit = 1 << c
-        for u in touched:
-            sat[u] &= ~bit
-
-    max_used = -1
-    for v in seed:
-        max_used += 1
-        paint(v, max_used)
-
-    def extend(assigned: int, max_used: int) -> bool:
-        if assigned == n:
+    def extend(free: int, max_used: int) -> bool:
+        if not free:
             return True
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (bin(sat[u]).count("1"), degrees[u], -u),
-        )
-        if bin(sat[v]).count("1") >= k:
+        v = _most_saturated(free, rank)
+        if rank[v] >= limit:
             return False
-        top = min(max_used + 1, k - 1)
-        for c in range(top + 1):
-            if sat[v] >> c & 1:
+        free ^= 1 << v
+        taken = sat[v]
+        neighbours = masks[v] & free
+        for c in range(min(max_used + 1, k - 1) + 1):
+            bit = 1 << c
+            if taken & bit:
                 continue
-            touched = paint(v, c)
-            if extend(assigned + 1, max(max_used, c)):
+            colors[v] = c
+            touched = []
+            rest = neighbours
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if not sat[u] & bit:
+                    sat[u] |= bit
+                    rank[u] += n
+                    touched.append(u)
+                rest ^= low
+            if extend(free, c if c > max_used else max_used):
                 return True
-            unpaint(v, c, touched)
+            for u in touched:
+                sat[u] ^= bit
+                rank[u] -= n
         return False
 
-    if extend(len(seed), max_used):
+    if extend(free, len(seed) - 1):
         return colors
     return None
 
@@ -202,8 +251,8 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
     if graph.n > MAX_VERTICES:
         raise ValueError(f"graph has {graph.n} vertices; the exact solver is capped at {MAX_VERTICES}")
     masks = graph.adjacency_masks()
-    clique = greedy_clique(graph)
-    upper = greedy_coloring(graph)
+    clique = _greedy_clique(masks)
+    upper = _greedy_coloring(masks)
     upper_k = max(upper) + 1
     for k in range(len(clique), upper_k):
         witness = _color_with_limit(masks, k, clique)

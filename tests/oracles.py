@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from annulus_chroma.geometry import Annulus, AnnularSector
-from annulus_chroma.radial import RadialColoring
+from annulus_chroma.radial import RadialColoring, construct_radial_coloring
 from annulus_chroma.udg import UnitDistanceGraph
 
 TWO_PI = 2.0 * math.pi
@@ -128,6 +128,29 @@ def random_radial_coloring(
     return RadialColoring(Annulus(r), tuple(angles), sector_colors, boundary_colors)
 
 
+def random_proper_radial_coloring(rng: random.Random, r: float, max_cuts: int = 3) -> RadialColoring:
+    """construct_radial_coloring(r) rotated by a seeded offset, each sector cut by rays of its color.
+
+    Every color class keeps the point set it has in the construction, so
+    every draw is proper.
+    """
+    base = construct_radial_coloring(r)
+    offset = rng.uniform(0.0, TWO_PI)
+    rays = []  # (angle, ray color, color of the sector after the ray)
+    for i in range(base.n):
+        start, width, color = base.boundaries[i], base.sector_width(i), base.sector_colors[i]
+        rays.append((start, base.boundary_colors[i], color))
+        cuts = sorted(rng.uniform(0.0, width) for _ in range(rng.randint(0, max_cuts)))
+        rays += [(start + t, color, color) for t in cuts if 0.0 < t < width]
+    rotated = sorted(((a + offset) % TWO_PI, ray, sector) for a, ray, sector in rays)
+    return RadialColoring(
+        Annulus(r),
+        tuple(a for a, _, _ in rotated),
+        tuple(sector for _, _, sector in rotated),
+        tuple(ray for _, ray, _ in rotated),
+    )
+
+
 def brute_chromatic(graph: UnitDistanceGraph) -> int:
     """Exhaustive chromatic number by backtracking in natural vertex order."""
     masks = graph.adjacency_masks()
@@ -170,3 +193,116 @@ def random_graph(rng: random.Random, max_n: int = 8, edge_probability: float = 0
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_probability
     )
     return UnitDistanceGraph(n, edges)
+
+
+def mycielski(k: int, rng: random.Random | None = None) -> UnitDistanceGraph:
+    """Mycielski graph M_k (M_2 = K_2, M_3 = C_5, M_4 = Groetzsch), chi = k; relabelled by rng if given."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        new = list(edges)
+        for i, j in edges:
+            new += [(n + i, j), (n + j, i)]
+        new += [(n + i, 2 * n) for i in range(n)]
+        n, edges = 2 * n + 1, new
+    perm = list(range(n))
+    if rng is not None:
+        rng.shuffle(perm)
+    return UnitDistanceGraph(n, tuple((perm[i], perm[j]) for i, j in edges))
+
+
+# Reference solver: the string-scanning DSATUR search the bitset solver in
+# udg replaced, kept unchanged so tests can require bit-identical answers.
+
+
+def reference_greedy_clique(graph: UnitDistanceGraph) -> list[int]:
+    masks = graph.adjacency_masks()
+    order = sorted(range(graph.n), key=lambda v: (-bin(masks[v]).count("1"), v))
+    clique: list[int] = []
+    for v in order:
+        if all(masks[v] >> u & 1 for u in clique):
+            clique.append(v)
+    return clique
+
+
+def reference_greedy_coloring(graph: UnitDistanceGraph) -> tuple[int, ...]:
+    masks = graph.adjacency_masks()
+    colors = [-1] * graph.n
+    sat = [0] * graph.n  # bitmask of colors adjacent to each vertex
+    for _ in range(graph.n):
+        v = max(
+            (u for u in range(graph.n) if colors[u] == -1),
+            key=lambda u: (bin(sat[u]).count("1"), bin(masks[u]).count("1"), -u),
+        )
+        c = 0
+        while sat[v] >> c & 1:
+            c += 1
+        colors[v] = c
+        for u in range(graph.n):
+            if masks[v] >> u & 1:
+                sat[u] |= 1 << c
+    return tuple(colors)
+
+
+def reference_color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | None:
+    n = len(masks)
+    if len(seed) > k:
+        return None
+    colors = [-1] * n
+    sat = [0] * n
+    degrees = [bin(m).count("1") for m in masks]
+
+    def paint(v: int, c: int) -> list[int]:
+        colors[v] = c
+        touched = []
+        bit = 1 << c
+        for u in range(n):
+            if masks[v] >> u & 1 and not sat[u] & bit:
+                sat[u] |= bit
+                touched.append(u)
+        return touched
+
+    def unpaint(v: int, c: int, touched: list[int]) -> None:
+        colors[v] = -1
+        bit = 1 << c
+        for u in touched:
+            sat[u] &= ~bit
+
+    max_used = -1
+    for v in seed:
+        max_used += 1
+        paint(v, max_used)
+
+    def extend(assigned: int, max_used: int) -> bool:
+        if assigned == n:
+            return True
+        v = max(
+            (u for u in range(n) if colors[u] == -1),
+            key=lambda u: (bin(sat[u]).count("1"), degrees[u], -u),
+        )
+        if bin(sat[v]).count("1") >= k:
+            return False
+        top = min(max_used + 1, k - 1)
+        for c in range(top + 1):
+            if sat[v] >> c & 1:
+                continue
+            touched = paint(v, c)
+            if extend(assigned + 1, max(max_used, c)):
+                return True
+            unpaint(v, c, touched)
+        return False
+
+    if extend(len(seed), max_used):
+        return colors
+    return None
+
+
+def reference_chromatic_number(graph: UnitDistanceGraph) -> tuple[int, tuple[int, ...]]:
+    masks = graph.adjacency_masks()
+    clique = reference_greedy_clique(graph)
+    upper = reference_greedy_coloring(graph)
+    upper_k = max(upper) + 1
+    for k in range(len(clique), upper_k):
+        witness = reference_color_with_limit(masks, k, clique)
+        if witness is not None:
+            return k, tuple(witness)
+    return upper_k, upper

@@ -253,6 +253,33 @@ class TestToleranceHandling:
         assert code == 2
         assert "ANNULUS_CHROMA_TOLERANCE" in err
 
+    @pytest.mark.parametrize("value", ["nan", "1e-2"])
+    def test_absurd_flag_refused_by_construct(self, capsys, value):
+        code, out, err = run(capsys, "construct", "--r", "0.2", "--tolerance", value)
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
+
+    def test_construct_takes_the_flag(self, capsys):
+        code, out, _ = run(capsys, "construct", "--r", "0.2", "--tolerance", "1e-6")
+        assert code == 0
+        assert coloring_from_json(json.loads(out)).n > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["chi-radial", "--r", "0.3"],
+        ["table"],
+        ["embed", "--gadget", "rod", "--r", "0.3"],
+        ["solve", "GRAPH"],
+    ], ids=["chi-radial", "table", "embed", "solve"])
+    def test_flag_refused_where_no_tolerance_is_read(self, capsys, tmp_path, argv):
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        argv = [str(path) if a == "GRAPH" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--tolerance", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
+
     def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "coloring.json"
         run(capsys, "construct", "--r", "0.2", "--out", str(path))

@@ -21,7 +21,7 @@ from annulus_chroma.radial import (
     verify_radial_coloring,
 )
 from annulus_chroma.schema import SchemaError
-from oracles import random_radial_coloring
+from oracles import random_proper_radial_coloring, random_radial_coloring
 
 
 class TestRadialChromaticNumber:
@@ -259,16 +259,15 @@ class TestSpans:
         assert not spans_within_unit_sector(c)
 
     def test_proper_random_colorings_satisfy_span_bound(self):
+        # theta <= 2*pi/3 from the end of the 3-color band on
+        r_min = (2.0 - math.sqrt(3.0)) / (2.0 * math.sqrt(3.0))
+        assert unit_chord_angle(0.5 + r_min) == pytest.approx(TWO_PI / 3.0, abs=1e-12)
         rng = random.Random(3030)
-        checked = 0
-        for _ in range(300):
-            r = rng.uniform(0.02, 0.48)
-            c = random_radial_coloring(rng, r, n_colors=radial_chromatic_number(r) + 2)
-            if verify_radial_coloring(c).proper:
-                assert spans_within_unit_sector(c)
-                checked += 1
-        # random colorings are rarely proper; the bound still must hold whenever they are
-        assert checked >= 0
+        for _ in range(200):
+            r = rng.uniform(r_min, 0.49)
+            c = random_proper_radial_coloring(rng, r)
+            assert verify_radial_coloring(c).proper, c
+            assert spans_within_unit_sector(c), c
 
 
 class TestStructure:

@@ -19,7 +19,15 @@ from annulus_chroma.udg import (
     greedy_coloring,
     is_proper,
 )
-from oracles import brute_chromatic, brute_colorable, random_graph
+from oracles import (
+    brute_chromatic,
+    brute_colorable,
+    mycielski,
+    random_graph,
+    reference_chromatic_number,
+    reference_greedy_clique,
+    reference_greedy_coloring,
+)
 
 
 class TestBuildUdg:
@@ -77,6 +85,13 @@ class TestGraphStructure:
     def test_edges_canonicalized(self):
         g = graph_from_edges(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
+
+    def test_edge_tuples_shared_between_graphs(self):
+        a = graph_from_edges(4, [(3, 1)])
+        b = graph_from_edges(5, [[1, 3]])
+        assert a.edges[0] is b.edges[0]
+        big = graph_from_edges(MAX_VERTICES + 2, [(MAX_VERTICES + 1, 0)])
+        assert big.edges == ((0, MAX_VERTICES + 1),)
 
 
 class TestChromaticNumber:
@@ -146,6 +161,40 @@ class TestChromaticNumber:
     def test_cap_boundary_accepted(self):
         g = graph_from_edges(MAX_VERTICES, [(0, 1)])
         assert chromatic_number_exact(g)[0] == 2
+
+
+def _same_as_reference(graph: UnitDistanceGraph) -> bool:
+    return (
+        greedy_clique(graph) == reference_greedy_clique(graph)
+        and greedy_coloring(graph) == reference_greedy_coloring(graph)
+        and chromatic_number_exact(graph) == reference_chromatic_number(graph)
+    )
+
+
+class TestReferenceIdentity:
+    """The bitset solver walks the reference search tree: same answers, witnesses and bounds."""
+
+    @pytest.mark.parametrize(
+        "graph,chi",
+        [
+            (graph_from_edges(9, []), 1),
+            (graph_from_edges(1, []), 1),
+            (graph_from_edges(64, list(itertools.combinations(range(64), 2))), 64),
+            (build_udg(list(spindle_points()), 1e-9), 4),
+            (mycielski(4, random.Random(4)), 4),
+            (mycielski(5, random.Random(5)), 5),
+        ],
+        ids=["edgeless", "K1", "K64", "spindle", "relabelled-M4", "relabelled-M5"],
+    )
+    def test_fixed_graphs(self, graph, chi):
+        assert _same_as_reference(graph)
+        assert chromatic_number_exact(graph)[0] == chi
+
+    def test_random_graphs(self):
+        rng = random.Random(2012)
+        for i in range(300):
+            graph = random_graph(rng, max_n=40, edge_probability=0.1 + 0.4 * i / 299)
+            assert _same_as_reference(graph), f"graph {i}: n={graph.n}, edges={graph.edges}"
 
 
 class TestIsProper:
