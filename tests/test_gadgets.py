@@ -20,7 +20,6 @@ from annulus_chroma.gadgets import (
     embedding_to_json,
     gadget_lower_bound,
     margin_of,
-    rod_rotation_path,
     spindle_points,
     trirod_rotation_path,
 )
@@ -65,15 +64,6 @@ class TestRod:
         emb = embed_rod(0.3)
         for v in emb.vertices:
             assert math.hypot(*v) == pytest.approx(emb.params["rho"], abs=1e-12)
-
-    def test_rotation_path(self):
-        assert rod_rotation_path(0.1, 360)
-        assert rod_rotation_path(0.01, 360)
-        assert rod_rotation_path(0.1, 2)
-
-    def test_rotation_path_needs_two_steps(self):
-        with pytest.raises(ValueError):
-            rod_rotation_path(0.1, 1)
 
 
 class TestOddCycle:
@@ -144,12 +134,29 @@ class TestTriRod:
         assert emb.margin == pytest.approx(min(0.8 - 1 / math.sqrt(3), 1 / math.sqrt(3) - 0.2), abs=1e-12)
 
     def test_rotation_path(self):
-        assert trirod_rotation_path(0.08, 360)
-        assert trirod_rotation_path(0.45, 8)
+        assert trirod_rotation_path(0.08)
+        assert trirod_rotation_path(0.45)
 
     def test_rotation_path_infeasible_below_threshold(self):
         with pytest.raises(GadgetInfeasible):
-            trirod_rotation_path(0.05, 360)
+            trirod_rotation_path(0.05)
+
+    def test_floats_just_above_threshold(self):
+        # Rounding puts the vertices on the outer circle for the first few
+        # floats above the threshold; those must raise, not embed with margin 0.
+        r = TRI_ROD_THRESHOLD
+        for _ in range(20):
+            r = math.nextafter(r, 1.0)
+            try:
+                emb = embed_trirod(r)
+            except GadgetInfeasible:
+                assert gadget_lower_bound(r).bound == 3
+                continue
+            assert emb.margin > 0.0
+            outer = Annulus(r).outer_radius
+            assert all(math.hypot(x, y) < outer for x, y in emb.vertices)
+            assert trirod_rotation_path(r)
+            assert gadget_lower_bound(r).bound == 4
 
     def test_margin_formula(self):
         rng = random.Random(2)

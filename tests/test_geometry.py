@@ -290,10 +290,51 @@ class TestContainsUnitPair:
                 continue
             positives += 1
             p, q = witness
-            assert abs(math.dist(p, q) - 1.0) <= 1e-9
+            assert abs(math.dist(p, q) - 1.0) <= 1e-12
             assert s1.contains(p)
             assert s2.contains(q)
+            # closed form: both points on one circle of radius in [1/2, 1/2 + r]
+            rho_p, rho_q = math.hypot(*p), math.hypot(*q)
+            assert abs(rho_p - rho_q) <= 1e-12
+            assert 0.5 - 1e-12 <= rho_p <= annulus.outer_radius + 1e-12
         assert positives > 50  # the sampler must actually exercise the witness path
+
+    def test_closed_sector_of_width_theta(self):
+        # The difference arc reaches theta at one point only: the outer corners.
+        a = Annulus(0.1)
+        theta = unit_chord_angle(a.outer_radius)
+        s = AnnularSector.of(a, 0.3, theta)
+        found, (p, q) = contains_unit_pair(s, s)
+        assert found
+        assert abs(math.dist(p, q) - 1.0) <= 1e-12
+        assert math.hypot(*p) == math.hypot(*q) == a.outer_radius
+        assert s.contains(p) and s.contains(q)
+
+    def test_tolerance_window_witness(self):
+        # Two rays whose outer corners are 1 - 5e-4 apart: improper at tol = 1e-3.
+        a, tol = Annulus(0.1), 1e-3
+        delta = 2.0 * math.asin((1.0 - 5e-4) / (2.0 * a.outer_radius))
+        s1 = AnnularSector.radial_segment(a, 0.4)
+        s2 = AnnularSector.radial_segment(a, 0.4 + delta)
+        assert sector_distance_interval(s1, s2).max == pytest.approx(1.0 - 5e-4, abs=1e-12)
+        assert contains_unit_pair(s1, s2, 1e-4) == (False, None)
+        found, (p, q) = contains_unit_pair(s1, s2, tol)
+        assert found
+        assert abs(math.dist(p, q) - 1.0) <= tol
+        assert s1.contains(p, 1e-12) and s2.contains(q, 1e-12)
+
+    def test_tolerance_window_witness_avoids_open_end(self):
+        # Every distance lies within tol of 1, but the largest is reached only
+        # at the sector's open end: the witness takes the attained smallest one.
+        a, tol = Annulus(1e-5), 1e-3
+        ray = AnnularSector.radial_segment(a, 0.0)
+        s = AnnularSector.of(a, math.pi - 0.02, 0.007, start_closed=True, end_closed=False)
+        di = sector_distance_interval(ray, s, tol)
+        assert di.max < 1.0 and not di.max_attained_interior
+        found, (p, q) = contains_unit_pair(ray, s, tol)
+        assert found
+        assert abs(math.dist(p, q) - 1.0) <= tol
+        assert ray.contains(p, 1e-12) and s.contains(q, 1e-12)
 
     def test_verdict_consistent_with_interval(self):
         rng = random.Random(77)
