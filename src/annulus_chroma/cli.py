@@ -16,7 +16,6 @@ import sys
 
 from .gadgets import (
     GadgetInfeasible,
-    PlacementSearchError,
     embed_moser_spindle,
     embed_odd_cycle,
     embed_rod,
@@ -81,20 +80,13 @@ def _load_json(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}")
 
 
-def _band_for(r: float):
-    for threshold in thresholds():
-        if r <= threshold.max_r:
-            return threshold
-    return thresholds()[-1]
-
-
 def cmd_chi_radial(args) -> int:
     try:
         n = radial_chromatic_number(args.r)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     theta = unit_chord_angle(0.5 + args.r)
-    band = _band_for(args.r)
+    band = thresholds()[n - 3]
     if args.format == "json":
         _emit(args, json.dumps({
             "r": args.r,
@@ -222,8 +214,6 @@ def cmd_embed(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         print(f"threshold={exc.threshold!r}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except PlacementSearchError as exc:
-        return _fail(str(exc), EXIT_INTERNAL)
     if args.format == "svg":
         _emit(args, render_embedding(embedding, annulus))
     elif args.format == "text":
@@ -303,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     embed = sub.add_parser("embed", help="embed a gadget into the annulus")
     embed.add_argument("--gadget", choices=("rod", "cycle", "trirod", "spindle"), required=True)
     embed.add_argument("--r", type=float, required=True, help="annulus half-width, 0 < r < 1/2")
-    embed.add_argument("--seed", type=int, default=0,
-                       help="ignored: the spindle placement is closed-form (kept for older scripts)")
     _add_common(embed, ("json", "svg", "text"), "json")
     embed.set_defaults(func=cmd_embed)
 

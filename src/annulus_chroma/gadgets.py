@@ -1,11 +1,12 @@
 """Unit-distance gadgets embedded in an annulus, with numeric certificates.
 
 Each embedder returns explicit vertex coordinates, the unit edges, and the
-clearance (margin) from the annulus boundary.  The odd cycle and the Moser
-spindle are finite graphs whose chromatic numbers (3 and 4) the exact
-solver checks.  The tri-rod is centered on the origin, so rotating it about
-the center keeps every vertex at radius 1/sqrt(3): it turns freely inside
-the annulus exactly when it embeds, with no sampled path to check.
+clearance (margin) from the annulus boundary; every placement is closed
+form.  The odd cycle and the Moser spindle are finite graphs whose
+chromatic numbers (3 and 4) the exact solver checks.  The tri-rod is
+centered on the origin, so rotating it about the center keeps every
+vertex at radius 1/sqrt(3): it turns freely inside the annulus exactly
+when it embeds, with no sampled path to check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Annulus, Point, TWO_PI
+from .geometry import Annulus, Point, TWO_PI, unit_chord_angle
 from .schema import (
     SchemaError,
     require_dict,
@@ -44,6 +45,17 @@ SPINDLE_EDGES = (
 
 GADGET_KINDS = ("rod", "odd_cycle", "tri_rod", "moser_spindle")
 
+ODD_CYCLE_MAX_N = 99
+
+
+def _star_radius(n: int) -> float:
+    """Circumradius of the unit-side star polygon {n/w}, w = (n - 1)/2, for odd n."""
+    return 1.0 / (2.0 * math.sin(math.pi * ((n - 1) // 2) / n))
+
+
+# Below this half-width not even the ODD_CYCLE_MAX_N-gon reaches the outer circle.
+ODD_CYCLE_THRESHOLD = _star_radius(ODD_CYCLE_MAX_N) - 0.5
+
 
 class GadgetInfeasible(ValueError):
     """The gadget cannot be embedded at this half-width; carries the threshold."""
@@ -53,10 +65,6 @@ class GadgetInfeasible(ValueError):
         self.kind = kind
         self.r = r
         self.threshold = threshold
-
-
-class PlacementSearchError(RuntimeError):
-    """No odd cycle with at most n_max vertices fits the annulus (r below about 6e-5 by default)."""
 
 
 @dataclass(frozen=True)
@@ -141,35 +149,39 @@ def embed_rod(r: float) -> GadgetEmbedding:
     )
 
 
-def embed_odd_cycle(r: float, n_max: int = 99) -> GadgetEmbedding:
-    """Regular star polygon {n/w} of unit side lying inside the annulus.
+def embed_odd_cycle(r: float) -> GadgetEmbedding:
+    """Star polygon {n/w} of unit side, w = (n - 1)/2, with the least odd n that fits.
 
-    Searches odd n ascending (then w ascending, gcd(n, w) = 1) for a
-    circumradius 1/(2*sin(pi*w/n)) within the annulus radii; consecutive
-    vertices sit at angle 2*pi*w/n apart, so all n cycle edges are unit and
-    no chord is.
+    Vertices 2*pi*w/n apart on the circle of radius 1/(2*sin(pi*w/n)) make
+    every cycle edge unit and no chord.  That radius is at most the outer
+    one when the step is at least theta, first for w = (n - 1)/2 once
+    n >= pi/(pi - theta); no smaller w fits at that n, and gcd(n, w) = 1.
+    The float test of the radius settles n near the switch points.  Raises
+    GadgetInfeasible below ODD_CYCLE_THRESHOLD, where not even
+    n = ODD_CYCLE_MAX_N fits, less the floats just under it for which
+    1/2 + r rounds up to that radius.
     """
     annulus = Annulus(r)
-    for n in range(3, n_max + 1, 2):
-        for w in range(1, (n - 1) // 2 + 1):
-            if math.gcd(n, w) != 1:
-                continue
-            rho = 1.0 / (2.0 * math.sin(math.pi * w / n))
-            if annulus.inner_radius <= rho <= annulus.outer_radius:
-                step = TWO_PI * w / n
-                vertices = tuple(
-                    (rho * math.cos(step * k), rho * math.sin(step * k)) for k in range(n)
-                )
-                edges = tuple((k, k + 1) for k in range(n - 1)) + ((0, n - 1),)
-                return GadgetEmbedding(
-                    kind="odd_cycle",
-                    params={"r": r, "n": n, "w": w, "rho": rho},
-                    vertices=vertices,
-                    edges=edges,
-                    margin=margin_of(vertices, annulus),
-                )
-    raise PlacementSearchError(
-        f"no odd cycle with n <= {n_max} has circumradius inside the annulus at r = {r!r}"
+    outer = annulus.outer_radius
+    if _star_radius(ODD_CYCLE_MAX_N) > outer:
+        raise GadgetInfeasible("odd_cycle", r, ODD_CYCLE_THRESHOLD)
+    theta = unit_chord_angle(outer)
+    n = max(3, math.ceil(math.pi / (math.pi - theta))) | 1  # least odd n at or above the bound
+    while n > 3 and _star_radius(n - 2) <= outer:
+        n -= 2
+    while _star_radius(n) > outer:
+        n += 2
+    w = (n - 1) // 2
+    rho = _star_radius(n)
+    step = TWO_PI * w / n
+    vertices = tuple((rho * math.cos(step * k), rho * math.sin(step * k)) for k in range(n))
+    edges = tuple((k, k + 1) for k in range(n - 1)) + ((0, n - 1),)
+    return GadgetEmbedding(
+        kind="odd_cycle",
+        params={"r": r, "n": n, "w": w, "rho": rho},
+        vertices=vertices,
+        edges=edges,
+        margin=margin_of(vertices, annulus),
     )
 
 

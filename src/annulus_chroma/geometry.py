@@ -56,11 +56,6 @@ class Annulus:
         rho = math.hypot(point[0], point[1])
         return self.inner_radius - tolerance <= rho <= self.outer_radius + tolerance
 
-    def strictly_contains(self, point: Point, slack: float = DEFAULT_TOLERANCE) -> bool:
-        """True when the point is interior with clearance at least ``slack``."""
-        rho = math.hypot(point[0], point[1])
-        return self.inner_radius + slack < rho < self.outer_radius - slack
-
 
 @dataclass(frozen=True)
 class AngularInterval:
@@ -89,14 +84,15 @@ class AngularInterval:
         return self.start + self.width
 
     def contains(self, angle: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+        """Whether the direction lies in the arc; the tolerance widens closed ends only."""
         if self.width >= TWO_PI:
             return True
         t = normalize_angle(angle - self.start)
-        if t <= tolerance or t >= TWO_PI - tolerance:
-            return self.start_closed
-        if abs(t - self.width) <= tolerance:
-            return self.end_closed
-        return t < self.width
+        if self.start_closed and (t <= tolerance or t >= TWO_PI - tolerance):
+            return True
+        if self.end_closed and abs(t - self.width) <= tolerance:
+            return True
+        return 0.0 < t < self.width
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ def unit_chord_angle(outer_radius: float) -> float:
 @dataclass(frozen=True)
 class _AngleExtreme:
     value: float  # extreme value of cos(delta)
-    delta: float  # a realizing angular difference, within [lo, hi]
+    delta: float  # a realizing angular difference in [lo, hi], at an attained end if one is
     attained: bool  # realizable by a pair respecting the endpoint flags
 
 
@@ -228,13 +224,13 @@ def _cos_extreme(
     if abs(span - TWO_PI) <= tolerance:
         # Full circle with a single seam at lo (== hi mod 2*pi).
         if u <= tolerance or u >= span - tolerance:
-            return _AngleExtreme(math.cos(target), lo, lo_ok or hi_ok)
+            return _AngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
         return _AngleExtreme(math.cos(target), lo + u, True)
 
     at_lo = u <= tolerance
     at_hi = abs(u - span) <= tolerance
     if at_lo and at_hi:
-        return _AngleExtreme(math.cos(target), lo, lo_ok or hi_ok)
+        return _AngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
     if at_lo:
         return _AngleExtreme(math.cos(target), lo, lo_ok)
     if at_hi:
@@ -246,7 +242,7 @@ def _cos_extreme(
     v_lo = math.cos(abs(lo))
     v_hi = math.cos(abs(hi))
     if abs(v_lo - v_hi) <= 1e-12:
-        return _AngleExtreme(v_lo if want_max else v_hi, lo, lo_ok or hi_ok)
+        return _AngleExtreme(v_lo if want_max else v_hi, lo if lo_ok else hi, lo_ok or hi_ok)
     if (v_lo > v_hi) == want_max:
         return _AngleExtreme(v_lo, lo, lo_ok)
     return _AngleExtreme(v_hi, hi, hi_ok)

@@ -4,7 +4,9 @@ A radial coloring partitions the annulus by finitely many boundary rays:
 each open sector between consecutive rays is monochromatic and each ray
 (a closed radial segment) carries its own color.  The least number of
 colors in a proper radial coloring is ceil(2*pi / theta), where theta is
-the angular width of a unit chord on the outer circle.
+the angular width of a unit chord on the outer circle.  The verifier
+checks every pair of same-colored pieces with contains_unit_pair and
+returns a witness for the first conflict.
 """
 
 from __future__ import annotations
@@ -23,13 +25,6 @@ from .geometry import (
     unit_chord_angle,
 )
 from .schema import SchemaError, require_int, require_keys, require_list, require_number
-
-# Snap 2*pi/theta to an integer when this close, so that closed right
-# endpoints of the threshold table evaluate to the table's N despite
-# floating-point error.
-INTEGER_SNAP = 1e-9
-
-SPAN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,14 +54,16 @@ def radial_chromatic_number(r: float) -> int:
     """Least number of colors in a proper radial coloring of the annulus.
 
     Equals ceil(2*pi / theta) with theta the unit-chord angle at the outer
-    radius; ratios within INTEGER_SNAP of an integer are rounded to it
-    first, so the thresholds land in their closed band.
+    radius.  A ratio within 4 ulps of an integer is rounding error and is
+    snapped to it first, so the thresholds land in their closed band; any
+    larger excess means N sectors of width theta leave a gap and N + 1
+    colors are needed.
     """
     if not 0.0 < r < 0.5:
         raise ValueError(f"annulus half-width must lie strictly in (0, 1/2), got {r}")
     ratio = TWO_PI / unit_chord_angle(0.5 + r)
     nearest = round(ratio)
-    if abs(ratio - nearest) <= INTEGER_SNAP:
+    if abs(ratio - nearest) <= 4.0 * math.ulp(nearest):
         return int(nearest)
     return math.ceil(ratio)
 
@@ -189,75 +186,6 @@ def verify_radial_coloring(
                         piece_labels=(group[i][0], group[j][0]),
                     )
     return VerificationResult(proper=True)
-
-
-def _merge_circular(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of closed arcs given as (start, end) with end >= start, on [0, 2*pi]."""
-    flat: list[tuple[float, float]] = []
-    for start, end in intervals:
-        if end - start >= TWO_PI:
-            return [(0.0, TWO_PI)]
-        if end > TWO_PI:
-            flat.append((start, TWO_PI))
-            flat.append((0.0, end - TWO_PI))
-        else:
-            flat.append((start, end))
-    flat.sort()
-    merged = [flat[0]]
-    for start, end in flat[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    # Stitch across the 0 == 2*pi seam.
-    if len(merged) > 1 and merged[0][0] <= 0.0 and merged[-1][1] >= TWO_PI:
-        merged[0] = (merged[-1][0] - TWO_PI, merged[0][1])
-        merged.pop()
-    return merged
-
-
-def max_color_class_span(coloring: RadialColoring) -> dict[int, float]:
-    """Angular width of the smallest arc covering each color's open sectors.
-
-    Boundary rays are excluded (only sector interiors count); a color used
-    solely on rays gets span 0.  Equals 2*pi minus the largest angular gap
-    left uncovered by the color's sectors.
-    """
-    spans = {color: 0.0 for color in coloring.colors_used()}
-    arcs_by_color: dict[int, list[tuple[float, float]]] = {}
-    for i in range(coloring.n):
-        start = coloring.boundaries[i]
-        arcs_by_color.setdefault(coloring.sector_colors[i], []).append(
-            (start, start + coloring.sector_width(i))
-        )
-    for color, arcs in arcs_by_color.items():
-        merged = _merge_circular(arcs)
-        if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI:
-            spans[color] = TWO_PI
-            continue
-        largest_gap = 0.0
-        for k in range(len(merged)):
-            next_start = merged[(k + 1) % len(merged)][0] + (TWO_PI if k == len(merged) - 1 else 0.0)
-            largest_gap = max(largest_gap, next_start - merged[k][1])
-        spans[color] = TWO_PI - largest_gap
-    return spans
-
-
-def spans_within_unit_sector(coloring: RadialColoring) -> bool:
-    """Whether every color's sector span fits inside one unit-chord sector.
-
-    Holds for every proper radial coloring with theta <= 2*pi/3, that is
-    from the end of the 3-color band on (r >= (2 - sqrt(3))/(2*sqrt(3))):
-    same-colored pieces must stay less than theta apart in circular angle
-    (any pair at angle in [theta, pi] contains a unit pair), and with
-    theta <= 2*pi/3 such points fit in one arc of width theta.  Inside the
-    3-color band a proper coloring can break it: three thin sectors of one
-    color spaced 2*pi/3 apart are pairwise closer than theta yet span about
-    4*pi/3.
-    """
-    limit = unit_chord_angle(coloring.annulus.outer_radius) + SPAN_SLACK
-    return all(span <= limit for span in max_color_class_span(coloring).values())
 
 
 def coloring_to_json(coloring: RadialColoring) -> dict:

@@ -306,3 +306,22 @@ def reference_chromatic_number(graph: UnitDistanceGraph) -> tuple[int, tuple[int
         if witness is not None:
             return k, tuple(witness)
     return upper_k, upper
+
+
+def reference_odd_cycle(r: float, n_max: int = 99):
+    """(n, w, rho, vertices) of the first star polygon {n/w} whose circumradius lies in the annulus, or None.
+
+    The double search over odd n ascending, then w ascending with
+    gcd(n, w) = 1, that the closed-form embed_odd_cycle replaced.
+    """
+    annulus = Annulus(r)
+    for n in range(3, n_max + 1, 2):
+        for w in range(1, (n - 1) // 2 + 1):
+            if math.gcd(n, w) != 1:
+                continue
+            rho = 1.0 / (2.0 * math.sin(math.pi * w / n))
+            if annulus.inner_radius <= rho <= annulus.outer_radius:
+                step = TWO_PI * w / n
+                vertices = tuple((rho * math.cos(step * k), rho * math.sin(step * k)) for k in range(n))
+                return n, w, rho, vertices
+    return None

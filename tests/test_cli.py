@@ -11,7 +11,7 @@ import pytest
 import annulus_chroma
 from annulus_chroma import cli
 from annulus_chroma.cli import main
-from annulus_chroma.gadgets import SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
+from annulus_chroma.gadgets import ODD_CYCLE_THRESHOLD, SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
 from annulus_chroma.radial import VerificationResult, coloring_from_json, thresholds, verify_radial_coloring
 from annulus_chroma.udg import build_udg, graph_to_json
 
@@ -35,6 +35,14 @@ class TestChiRadial:
         assert payload["N"] == 5
         assert payload["band"]["colors"] == 5
         assert payload["theta"] == pytest.approx(2 * math.asin(1 / 1.6), abs=1e-15)
+
+    def test_band_matches_n_around_thresholds(self, capsys):
+        for t in thresholds()[:3]:
+            for r in [t.max_r] + [t.max_r + sign * 10.0 ** -k for k in range(6, 15) for sign in (-1.0, 1.0)]:
+                code, out, _ = run(capsys, "chi-radial", "--r", repr(r), "--format", "json")
+                assert code == 0
+                payload = json.loads(out)
+                assert payload["band"]["colors"] == payload["N"], r
 
     def test_out_of_domain(self, capsys):
         code, _, err = run(capsys, "chi-radial", "--r", "0.6")
@@ -167,6 +175,12 @@ class TestEmbed:
         assert code == 0
         assert out.splitlines()[0] == "kind=odd_cycle"
 
+    def test_cycle_below_threshold(self, capsys):
+        code, out, err = run(capsys, "embed", "--gadget", "cycle", "--r", "1e-5")
+        assert code == 1
+        assert out == ""
+        assert f"threshold={ODD_CYCLE_THRESHOLD!r}" in err.splitlines()
+
     def test_trirod_feasible(self, capsys):
         code, out, _ = run(capsys, "embed", "--gadget", "trirod", "--r", "0.08")
         assert code == 0
@@ -180,16 +194,11 @@ class TestEmbed:
         assert repr(TRI_ROD_THRESHOLD) in err
 
     def test_spindle_feasible(self, capsys):
-        code, out, _ = run(capsys, "embed", "--gadget", "spindle", "--r", "0.42", "--seed", "1")
+        code, out, _ = run(capsys, "embed", "--gadget", "spindle", "--r", "0.42")
         assert code == 0
         payload = json.loads(out)
         assert payload["kind"] == "moser_spindle"
         assert payload["margin"] > 0
-
-    def test_spindle_seed_is_ignored(self, capsys):
-        outputs = {run(capsys, "embed", "--gadget", "spindle", "--r", "0.42", *seed)[1]
-                   for seed in ((), ("--seed", "1"), ("--seed", "7"))}
-        assert len(outputs) == 1
 
     def test_spindle_infeasible(self, capsys):
         code, _, err = run(capsys, "embed", "--gadget", "spindle", "--r", "0.3")

@@ -8,7 +8,7 @@ import pytest
 from annulus_chroma.gadgets import (
     GadgetEmbedding,
     GadgetInfeasible,
-    PlacementSearchError,
+    ODD_CYCLE_THRESHOLD,
     SPINDLE_EDGES,
     SPINDLE_THRESHOLD,
     TRI_ROD_THRESHOLD,
@@ -26,6 +26,7 @@ from annulus_chroma.gadgets import (
 from annulus_chroma.geometry import Annulus
 from annulus_chroma.radial import thresholds
 from annulus_chroma.udg import build_udg, chromatic_number_exact
+from oracles import reference_odd_cycle
 
 # The same 7-vertex graph under an unrelated labeling: rhombus 0-1-3-2 with
 # apex 3, rhombus 0-5-4-6 with apex 4, and the apex-apex edge 3-4.
@@ -108,6 +109,53 @@ class TestOddCycle:
         emb = embed_odd_cycle(0.27)
         for length in edge_lengths(emb):
             assert abs(length - 1.0) <= 1e-9
+
+    def test_matches_reference_search(self):
+        # The switch points r_n, where {n/((n-1)/2)} first fits, and the r
+        # below ODD_CYCLE_THRESHOLD where 1/2 + r stops rounding up to the
+        # 99-gon's radius, each with 20 floats on either side; then r spread
+        # over (0, 1/2) and down to the smallest float.
+        centres = [1.0 / (2.0 * math.sin(math.pi * ((n - 1) // 2) / n)) - 0.5 for n in range(3, 101, 2)]
+        centres.append(ODD_CYCLE_THRESHOLD - math.ulp(0.5) / 2.0)
+        rs = []
+        for below in centres:
+            above = below
+            rs.append(below)
+            for _ in range(20):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                rs += [below, above]
+        rng = random.Random(99)
+        rs += [rng.uniform(0.0, 0.5) for _ in range(35_000)]
+        rs += [math.exp(rng.uniform(math.log(1e-4), math.log(0.5))) for _ in range(5_000)]
+        rs += [math.exp(rng.uniform(math.log(5e-324), math.log(1e-4))) for _ in range(300)]
+        rs += [5e-324, math.nextafter(0.5, 0.0)]
+        rs = [r for r in rs if 0.0 < r < 0.5]
+        assert len(rs) >= 40_000
+        raised = 0
+        for r in rs:
+            reference = reference_odd_cycle(r)
+            if reference is None:
+                with pytest.raises(GadgetInfeasible):
+                    embed_odd_cycle(r)
+                raised += 1
+                continue
+            emb = embed_odd_cycle(r)
+            n, w, rho, vertices = reference
+            assert emb.params == {"r": r, "n": n, "w": w, "rho": rho}
+            assert emb.vertices == vertices
+        assert 300 < raised < 400
+
+    def test_infeasible_below_threshold(self):
+        assert ODD_CYCLE_THRESHOLD == pytest.approx(6.294e-5, rel=1e-3)
+        assert embed_odd_cycle(ODD_CYCLE_THRESHOLD).params["n"] == 99
+        with pytest.raises(GadgetInfeasible) as err:
+            embed_odd_cycle(1e-5)
+        assert err.value.threshold == ODD_CYCLE_THRESHOLD
+        # 1/2 + r rounds to 1/2 here, where no unit chord exists.
+        with pytest.raises(GadgetInfeasible):
+            embed_odd_cycle(1e-17)
+        with pytest.raises(GadgetInfeasible):
+            gadget_lower_bound(1e-5)
 
 
 class TestTriRod:
@@ -248,7 +296,7 @@ class TestSpindleEmbedding:
         annulus = Annulus(0.42)
         emb = embed_moser_spindle(0.42)
         for v in emb.vertices:
-            assert annulus.strictly_contains(v)
+            assert annulus.inner_radius + 1e-9 < math.hypot(*v) < annulus.outer_radius - 1e-9
 
 
 class TestLowerBound:
@@ -311,9 +359,3 @@ class TestEmbeddingType:
         doc["vertices"][0] = [1.0]
         with pytest.raises(Exception, match=r"vertices\[0\]"):
             embedding_from_json(doc)
-
-
-class TestSearchFailureSignal:
-    def test_placement_error_is_distinct(self):
-        assert issubclass(PlacementSearchError, RuntimeError)
-        assert not issubclass(PlacementSearchError, GadgetInfeasible)

@@ -41,8 +41,6 @@ class TestAnnulus:
         assert a.contains((0.0, -0.4))
         assert not a.contains((0.39, 0.0))
         assert not a.contains((0.0, 0.61))
-        assert a.strictly_contains((0.5, 0.0))
-        assert not a.strictly_contains((0.4, 0.0))
 
 
 class TestAngularInterval:
@@ -58,6 +56,15 @@ class TestAngularInterval:
         assert arc.contains(6.2)
         assert arc.contains(0.2)  # 6.0 + 1.0 passes 2*pi
         assert not arc.contains(1.5)
+
+    def test_tolerance_widens_closed_ends_only(self):
+        tol = 1e-6
+        open_arc = AngularInterval(1.0, 0.5, start_closed=False, end_closed=False)
+        assert not open_arc.contains(1.0, tol) and not open_arc.contains(1.5, tol)
+        assert open_arc.contains(1.0 + tol / 2.0, tol) and open_arc.contains(1.5 - tol / 2.0, tol)
+        assert not open_arc.contains(1.0 - tol / 2.0, tol) and not open_arc.contains(1.5 + tol / 2.0, tol)
+        closed_arc = AngularInterval(1.0, 0.5)
+        assert closed_arc.contains(1.0 - tol / 2.0, tol) and closed_arc.contains(1.5 + tol / 2.0, tol)
 
     def test_full_circle_ignores_flags(self):
         arc = AngularInterval(0.3, TWO_PI, start_closed=False, end_closed=False)
@@ -335,6 +342,47 @@ class TestContainsUnitPair:
         assert found
         assert abs(math.dist(p, q) - 1.0) <= tol
         assert ray.contains(p, 1e-12) and s.contains(q, 1e-12)
+
+    def test_witnesses_inside_open_sectors_narrower_than_the_tolerance(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            annulus, tol = Annulus(rng.uniform(0.01, 0.49)), 10.0 ** rng.uniform(-9.0, -4.0)
+            theta = unit_chord_angle(annulus.outer_radius)
+            start = rng.uniform(0.0, TWO_PI)
+            s1 = AnnularSector.of(annulus, start, rng.uniform(0.0, 2.0 * tol) or tol, False, False)
+            s2 = AnnularSector.of(
+                annulus, start + rng.uniform(theta + 4.0 * tol, math.pi), rng.uniform(0.0, 2.0 * tol) or tol, False, False
+            )
+            found, (p, q) = contains_unit_pair(s1, s2, tol)
+            assert found
+            assert s1.contains(p, tol) and s2.contains(q, tol)
+
+    def test_witness_at_the_attained_end(self):
+        # Two copies of one arc a hair narrower than theta, one closed and one
+        # open at its start: distance 1 within tol is attained only with the
+        # open copy's point at its closed end.
+        annulus, tol = Annulus(0.11235681691721083), 1.9560852997508123e-08
+        closed = AnnularSector.of(annulus, 4.854952505789755, 1.9107053407777448, True, True)
+        half_open = AnnularSector.of(annulus, 4.854952505789755, 1.9107053407777448, False, True)
+        found, (p, q) = contains_unit_pair(closed, half_open, tol)
+        assert found
+        assert closed.contains(p, tol) and half_open.contains(q, tol)
+
+    def test_witnesses_inside_half_open_copies_of_one_arc(self):
+        rng = random.Random(43)
+        flags = ((True, True), (False, True), (True, False))
+        positives = 0
+        for _ in range(3000):
+            annulus, tol = Annulus(rng.uniform(0.01, 0.49)), 10.0 ** rng.uniform(-12.0, -6.0)
+            width = unit_chord_angle(annulus.outer_radius) + rng.uniform(-2.0, 2.0) * tol
+            start = rng.uniform(0.0, TWO_PI)
+            s1 = AnnularSector.of(annulus, start, width, *rng.choice(flags))
+            s2 = AnnularSector.of(annulus, start, width, *rng.choice(flags))
+            found, witness = contains_unit_pair(s1, s2, tol)
+            if found:
+                positives += 1
+                assert s1.contains(witness[0], tol) and s2.contains(witness[1], tol)
+        assert positives > 1000
 
     def test_verdict_consistent_with_interval(self):
         rng = random.Random(77)

@@ -14,9 +14,7 @@ from annulus_chroma.radial import (
     coloring_from_json,
     coloring_to_json,
     construct_radial_coloring,
-    max_color_class_span,
     radial_chromatic_number,
-    spans_within_unit_sector,
     thresholds,
     verify_radial_coloring,
 )
@@ -56,6 +54,24 @@ class TestRadialChromaticNumber:
                 continue
             assert radial_chromatic_number(t.max_r) == t.colors
             assert radial_chromatic_number(t.max_r + 1e-6) == t.colors + 1
+
+    def test_construction_proper_around_thresholds(self):
+        # N(r) snaps only rounding error to the smaller count, so the N-sector
+        # construction holds at every tolerance just above a threshold too.
+        # Each threshold, the 300 floats on either side and T +- 10**-k.
+        rng = random.Random(17)
+        rs = [rng.uniform(1e-6, 0.5 - 1e-6) for _ in range(300)]
+        for t in (row.max_r for row in thresholds()[:3]):
+            below = above = t
+            rs.append(t)
+            for _ in range(300):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                rs += [below, above]
+            rs += [t + sign * 10.0 ** -k for k in range(6, 15) for sign in (-1.0, 1.0)]
+        for r in rs:
+            c = construct_radial_coloring(r)
+            for tolerance in (1e-9, 1e-12, 1e-14):
+                assert verify_radial_coloring(c, tolerance).proper, (r, tolerance)
 
 
 class TestThresholds:
@@ -199,27 +215,23 @@ class TestVerify:
         assert d.size > 100_000
         assert np.all(np.abs(d - 1.0) > 1e-6)
 
+    def test_proper_random_colorings(self):
+        r_min = thresholds()[0].max_r
+        rng = random.Random(3030)
+        for _ in range(200):
+            r = rng.uniform(r_min, 0.49)
+            c = random_proper_radial_coloring(rng, r)
+            assert verify_radial_coloring(c).proper, c
 
-class TestSpans:
-    def test_construct_spans_bounded(self):
-        c = construct_radial_coloring(0.3)
-        theta = unit_chord_angle(0.8)
-        assert theta == pytest.approx(1.35026, abs=1e-5)
-        for span in max_color_class_span(c).values():
-            assert span <= theta + 1e-9
-        assert spans_within_unit_sector(c)
-
-    def test_single_sector_span_is_width(self):
-        c = RadialColoring(Annulus(0.1), (0.0, 0.7, 2.0), (0, 1, 1), (0, 1, 1))
-        spans = max_color_class_span(c)
-        assert spans[0] == pytest.approx(0.7, abs=1e-12)
-
-    def test_wrapping_class_span(self):
-        # color 0 occupies [5.0, 2*pi) and [0, 1.0): one wrapped arc of width
-        # 2*pi - 4 covering the seam
-        c = RadialColoring(Annulus(0.1), (0.0, 1.0, 5.0), (0, 1, 0), (0, 1, 0))
-        spans = max_color_class_span(c)
-        assert spans[0] == pytest.approx(TWO_PI - 4.0, abs=1e-12)
+    def test_three_thin_sectors_two_thirds_of_pi_apart_are_proper(self):
+        # three thin color-0 sectors 2*pi/3 apart are pairwise closer than theta
+        third = TWO_PI / 3.0
+        colors = (0, 1, 0, 2, 0, 3)
+        c = RadialColoring(
+            Annulus(0.05), (0.0, 0.01, third, third + 0.01, 2 * third, 2 * third + 0.01), colors, colors
+        )
+        assert unit_chord_angle(0.55) == pytest.approx(2.282, abs=1e-3)
+        assert verify_radial_coloring(c).proper
 
     def test_antipodal_thin_sectors(self):
         eps = 0.01
@@ -229,45 +241,7 @@ class TestSpans:
             (0, 1, 0, 2),
             (1, 1, 1, 2),
         )
-        spans = max_color_class_span(c)
-        assert spans[0] == pytest.approx(math.pi + eps, abs=1e-12)
-        assert spans[0] > unit_chord_angle(0.8)
-        assert not spans_within_unit_sector(c)
         assert not verify_radial_coloring(c).proper
-
-    def test_boundary_only_color_has_zero_span(self):
-        c = RadialColoring(Annulus(0.1), (0.0, 3.0), (0, 0), (1, 2))
-        spans = max_color_class_span(c)
-        assert spans[1] == 0.0
-        assert spans[2] == 0.0
-
-    def test_full_cover_color(self):
-        c = RadialColoring(Annulus(0.1), (0.0, math.pi), (0, 0), (0, 0))
-        assert max_color_class_span(c)[0] == pytest.approx(TWO_PI, abs=1e-12)
-
-    def test_span_bound_fails_in_three_color_band(self):
-        # three thin color-0 sectors 2*pi/3 apart: pairwise closer than theta,
-        # so proper, yet together they span about 4*pi/3 > theta
-        third = TWO_PI / 3.0
-        colors = (0, 1, 0, 2, 0, 3)
-        c = RadialColoring(
-            Annulus(0.05), (0.0, 0.01, third, third + 0.01, 2 * third, 2 * third + 0.01), colors, colors
-        )
-        assert verify_radial_coloring(c).proper
-        assert max_color_class_span(c)[0] == pytest.approx(4.199, abs=1e-3)
-        assert unit_chord_angle(0.55) == pytest.approx(2.282, abs=1e-3)
-        assert not spans_within_unit_sector(c)
-
-    def test_proper_random_colorings_satisfy_span_bound(self):
-        # theta <= 2*pi/3 from the end of the 3-color band on
-        r_min = (2.0 - math.sqrt(3.0)) / (2.0 * math.sqrt(3.0))
-        assert unit_chord_angle(0.5 + r_min) == pytest.approx(TWO_PI / 3.0, abs=1e-12)
-        rng = random.Random(3030)
-        for _ in range(200):
-            r = rng.uniform(r_min, 0.49)
-            c = random_proper_radial_coloring(rng, r)
-            assert verify_radial_coloring(c).proper, c
-            assert spans_within_unit_sector(c), c
 
 
 class TestStructure:
@@ -292,7 +266,6 @@ class TestStructure:
     def test_construct_always_verifies(self, r):
         c = construct_radial_coloring(r)
         assert verify_radial_coloring(c).proper
-        assert spans_within_unit_sector(c)
 
 
 class TestJson:
