@@ -4,27 +4,16 @@ Exact geometry for distances between annular sectors, radial colorings and
 their chromatic formula, embeddable lower-bound gadgets (rod, odd cycle,
 tri-rod, Moser spindle), and an exact chromatic-number solver for small
 graphs.
+
+The public API is the README's Library import block; everything else is
+reached through its module.
 """
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    DEFAULT_TOLERANCE,
-    TWO_PI,
-    AngularInterval,
-    AnnularSector,
-    Annulus,
-    DistanceInterval,
-    Point,
-    contains_unit_pair,
-    normalize_angle,
-    sector_distance_interval,
-    unit_chord_angle,
-)
+from .geometry import AnnularSector, Annulus, contains_unit_pair, sector_distance_interval
 from .radial import (
     RadialColoring,
-    Threshold,
-    VerificationResult,
     coloring_from_json,
     coloring_to_json,
     construct_radial_coloring,
@@ -33,63 +22,23 @@ from .radial import (
     verify_radial_coloring,
 )
 from .gadgets import (
-    GADGET_KINDS,
-    SPINDLE_EDGES,
-    SPINDLE_THRESHOLD,
-    TRI_ROD_THRESHOLD,
-    GadgetEmbedding,
     GadgetInfeasible,
-    LowerBoundResult,
     embed_moser_spindle,
     embed_odd_cycle,
     embed_rod,
     embed_trirod,
-    embedding_from_json,
     embedding_to_json,
     gadget_lower_bound,
-    margin_of,
-    spindle_points,
-    trirod_rotation_path,
 )
 from .schema import SchemaError
-from .udg import (
-    MAX_VERTICES,
-    ColoringAssignment,
-    UnitDistanceGraph,
-    build_udg,
-    chromatic_number_exact,
-    graph_from_edges,
-    graph_from_json,
-    graph_to_json,
-    greedy_clique,
-    greedy_coloring,
-    is_proper,
-)
-from .svg import PALETTE, render_embedding, render_radial_coloring
+from .udg import build_udg, chromatic_number_exact, graph_from_json
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "TWO_PI",
-    "AngularInterval",
     "AnnularSector",
     "Annulus",
-    "ColoringAssignment",
-    "DistanceInterval",
-    "GADGET_KINDS",
-    "GadgetEmbedding",
     "GadgetInfeasible",
-    "LowerBoundResult",
-    "MAX_VERTICES",
-    "PALETTE",
-    "Point",
     "RadialColoring",
-    "SPINDLE_EDGES",
-    "SPINDLE_THRESHOLD",
     "SchemaError",
-    "TRI_ROD_THRESHOLD",
-    "Threshold",
-    "UnitDistanceGraph",
-    "VerificationResult",
     "build_udg",
     "chromatic_number_exact",
     "coloring_from_json",
@@ -100,24 +49,11 @@ __all__ = [
     "embed_odd_cycle",
     "embed_rod",
     "embed_trirod",
-    "embedding_from_json",
     "embedding_to_json",
     "gadget_lower_bound",
-    "graph_from_edges",
     "graph_from_json",
-    "graph_to_json",
-    "greedy_clique",
-    "greedy_coloring",
-    "is_proper",
-    "margin_of",
-    "normalize_angle",
     "radial_chromatic_number",
-    "render_embedding",
-    "render_radial_coloring",
     "sector_distance_interval",
-    "spindle_points",
     "thresholds",
-    "trirod_rotation_path",
-    "unit_chord_angle",
     "verify_radial_coloring",
 ]

@@ -14,14 +14,8 @@ import math
 import os
 import sys
 
-from .gadgets import (
-    GadgetInfeasible,
-    embed_moser_spindle,
-    embed_odd_cycle,
-    embed_rod,
-    embed_trirod,
-    embedding_to_json,
-)
+from . import gadgets
+from .gadgets import GadgetInfeasible, embedding_to_json
 from .geometry import DEFAULT_TOLERANCE, TWO_PI, Annulus, unit_chord_angle
 from .radial import (
     coloring_from_json,
@@ -37,6 +31,11 @@ from .udg import MAX_VERTICES, chromatic_number_exact, graph_from_json
 from . import __version__
 
 TOLERANCE_ENV = "ANNULUS_CHROMA_TOLERANCE"
+
+# --gadget choice -> embedder, looked up in gadgets at call time so that
+# rebinding a name there (as tracing does) reaches the CLI too.
+EMBEDDERS = {"rod": "embed_rod", "cycle": "embed_odd_cycle", "trirod": "embed_trirod",
+             "spindle": "embed_moser_spindle"}
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -193,23 +192,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.proper else EXIT_NEGATIVE
 
 
-def _run_embedder(args):
-    if args.gadget == "rod":
-        return embed_rod(args.r)
-    if args.gadget == "cycle":
-        return embed_odd_cycle(args.r)
-    if args.gadget == "trirod":
-        return embed_trirod(args.r)
-    return embed_moser_spindle(args.r)
-
-
 def cmd_embed(args) -> int:
     try:
         annulus = Annulus(args.r)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     try:
-        embedding = _run_embedder(args)
+        embedding = getattr(gadgets, EMBEDDERS[args.gadget])(args.r)
     except GadgetInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         print(f"threshold={exc.threshold!r}", file=sys.stderr)
@@ -291,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     embed = sub.add_parser("embed", help="embed a gadget into the annulus")
-    embed.add_argument("--gadget", choices=("rod", "cycle", "trirod", "spindle"), required=True)
+    embed.add_argument("--gadget", choices=tuple(EMBEDDERS), required=True)
     embed.add_argument("--r", type=float, required=True, help="annulus half-width, 0 < r < 1/2")
     _add_common(embed, ("json", "svg", "text"), "json")
     embed.set_defaults(func=cmd_embed)

@@ -15,16 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Annulus, Point, TWO_PI, unit_chord_angle
-from .schema import (
-    SchemaError,
-    require_dict,
-    require_index_pair,
-    require_keys,
-    require_list,
-    require_number,
-    require_point,
-    require_str,
-)
+from .udg import UnitDistanceGraph
 
 # Half-width above which the gadget fits strictly inside the annulus.
 TRI_ROD_THRESHOLD = (2.0 - math.sqrt(3.0)) / (2.0 * math.sqrt(3.0))
@@ -58,10 +49,14 @@ ODD_CYCLE_THRESHOLD = _star_radius(ODD_CYCLE_MAX_N) - 0.5
 
 
 class GadgetInfeasible(ValueError):
-    """The gadget cannot be embedded at this half-width; carries the threshold."""
+    """The gadget cannot be embedded at this half-width; carries the threshold.
+
+    The message claims no inequality with the threshold: the odd cycle
+    embeds at its threshold, the spindle does not.
+    """
 
     def __init__(self, kind: str, r: float, threshold: float):
-        super().__init__(f"{kind} embeds only for r > {threshold!r}, got r = {r!r}")
+        super().__init__(f"{kind} does not embed at r = {r!r}; threshold {threshold!r}")
         self.kind = kind
         self.r = r
         self.threshold = threshold
@@ -72,7 +67,9 @@ class GadgetEmbedding:
     """Concrete placement of a gadget: vertices, unit edges, boundary clearance.
 
     margin is the signed minimal clearance of any vertex from the two
-    annulus circles; interior embeddings have margin > 0.
+    annulus circles; interior embeddings have margin > 0.  Vertices and
+    edges are checked as a UnitDistanceGraph at EDGE_TOLERANCE, whose
+    canonical edges the embedding keeps.
     """
 
     kind: str
@@ -84,21 +81,9 @@ class GadgetEmbedding:
     def __post_init__(self) -> None:
         if self.kind not in GADGET_KINDS:
             raise ValueError(f"unknown gadget kind {self.kind!r}")
-        vertices = tuple((float(x), float(y)) for x, y in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
-        n = len(vertices)
-        canonical = set()
-        for i, j in self.edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j}) for {n} vertices")
-            canonical.add((i, j) if i < j else (j, i))
-        if len(canonical) != len(self.edges):
-            raise ValueError("duplicate edges in embedding")
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
-        for i, j in self.edges:
-            d = math.dist(vertices[i], vertices[j])
-            if abs(d - 1.0) > EDGE_TOLERANCE:
-                raise ValueError(f"edge ({i}, {j}) has length {d}, not 1 within {EDGE_TOLERANCE}")
+        graph = UnitDistanceGraph(len(self.vertices), self.edges, self.vertices, EDGE_TOLERANCE)
+        object.__setattr__(self, "vertices", graph.points)
+        object.__setattr__(self, "edges", graph.edges)
         self._check_shape()
 
     def _check_shape(self) -> None:
@@ -301,22 +286,3 @@ def embedding_to_json(embedding: GadgetEmbedding) -> dict:
         "edges": [list(e) for e in embedding.edges],
         "margin": embedding.margin,
     }
-
-
-def embedding_from_json(data: dict) -> GadgetEmbedding:
-    require_keys(data, ("kind", "params", "vertices", "edges", "margin"), "embedding")
-    kind = require_str(data["kind"], "embedding.kind")
-    params = require_dict(data["params"], "embedding.params")
-    vertices = [
-        require_point(p, f"embedding.vertices[{i}]")
-        for i, p in enumerate(require_list(data["vertices"], "embedding.vertices"))
-    ]
-    edges = [
-        require_index_pair(e, f"embedding.edges[{i}]")
-        for i, e in enumerate(require_list(data["edges"], "embedding.edges"))
-    ]
-    margin = require_number(data["margin"], "embedding.margin")
-    try:
-        return GadgetEmbedding(kind, dict(params), tuple(vertices), tuple(edges), margin)
-    except ValueError as exc:
-        raise SchemaError(f"embedding: {exc}") from exc

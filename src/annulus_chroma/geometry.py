@@ -23,9 +23,11 @@ Point = tuple[float, float]
 
 
 def normalize_angle(angle: float) -> float:
-    """Reduce an angle to the canonical range [0, 2*pi)."""
+    """Reduce a finite angle to the canonical range [0, 2*pi); ValueError otherwise."""
     a = angle % TWO_PI
-    if a >= TWO_PI or a < 0.0:
+    if not a < TWO_PI or a < 0.0:  # NaN (from inf too) lands here, at no cost to finite angles
+        if a != a:
+            raise ValueError(f"angle must be finite, got {angle}")
         a = 0.0
     return a
 
@@ -64,7 +66,7 @@ class AngularInterval:
     width == 0 is the degenerate single-direction case and requires both
     endpoints closed.  width == 2*pi is the full circle; both flags are
     then ignored.  Membership is invariant under adding multiples of 2*pi
-    to the query angle.
+    to the query angle.  start must be finite (see normalize_angle).
     """
 
     start: float
@@ -117,10 +119,6 @@ class AnnularSector:
     def radial_segment(cls, annulus: Annulus, angle: float) -> "AnnularSector":
         """Degenerate sector: the intersection of one ray with the annulus."""
         return cls(annulus, AngularInterval(angle, 0.0, True, True))
-
-    @property
-    def is_radial_segment(self) -> bool:
-        return self.arc.width == 0.0
 
     def contains(self, point: Point, tolerance: float = DEFAULT_TOLERANCE) -> bool:
         if not self.annulus.contains(point, tolerance):

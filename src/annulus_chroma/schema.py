@@ -41,12 +41,6 @@ def require_int(value, where: str) -> int:
     return value
 
 
-def require_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: expected a string, got {type(value).__name__}")
-    return value
-
-
 def require_list(value, where: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list, got {type(value).__name__}")

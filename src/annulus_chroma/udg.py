@@ -41,9 +41,10 @@ ColoringAssignment = tuple[int, ...]
 class UnitDistanceGraph:
     """Graph on indexed vertices, optionally carrying planar coordinates.
 
-    When points are present, every edge must join a pair at distance 1
-    within the stored tolerance (the converse is enforced by build_udg,
-    not by the type).
+    The tolerance must be finite and nonnegative.  When points are present,
+    they must be finite and every edge must join a pair at distance 1
+    within the tolerance (the converse is enforced by build_udg, not by
+    the type).
     """
 
     n: int
@@ -54,6 +55,8 @@ class UnitDistanceGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
         canonical = []
         seen = set()
         for i, j in self.edges:
@@ -73,9 +76,12 @@ class UnitDistanceGraph:
             object.__setattr__(self, "points", pts)
             if len(pts) != self.n:
                 raise ValueError(f"expected {self.n} points, got {len(pts)}")
+            for i, (x, y) in enumerate(pts):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"point {i} must have finite coordinates, got ({x}, {y})")
             for i, j in self.edges:
                 d = math.dist(pts[i], pts[j])
-                if abs(d - 1.0) > self.tolerance:
+                if not abs(d - 1.0) <= self.tolerance:  # NaN fails too
                     raise ValueError(f"edge ({i}, {j}) has length {d}, not 1 within {self.tolerance}")
 
     def adjacency_masks(self) -> list[int]:
@@ -88,8 +94,6 @@ class UnitDistanceGraph:
 
 def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> UnitDistanceGraph:
     """Graph whose edges are exactly the point pairs at distance 1 within tolerance."""
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     pts = [(float(x), float(y)) for x, y in points]
     edges = []
     for i in range(len(pts)):
@@ -259,12 +263,6 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
         if witness is not None:
             return k, tuple(witness)
     return upper_k, upper
-
-
-def graph_to_json(graph: UnitDistanceGraph) -> dict:
-    if graph.points is not None:
-        return {"points": [[x, y] for x, y in graph.points], "tolerance": graph.tolerance}
-    return {"n": graph.n, "edges": [list(e) for e in graph.edges]}
 
 
 def graph_from_json(data: dict) -> UnitDistanceGraph:

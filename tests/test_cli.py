@@ -13,7 +13,6 @@ from annulus_chroma import cli
 from annulus_chroma.cli import main
 from annulus_chroma.gadgets import ODD_CYCLE_THRESHOLD, SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
 from annulus_chroma.radial import VerificationResult, coloring_from_json, thresholds, verify_radial_coloring
-from annulus_chroma.udg import build_udg, graph_to_json
 
 
 def run(capsys, *argv):
@@ -220,9 +219,8 @@ class TestSolve:
         assert out.splitlines()[0] == "chi=3"
 
     def test_spindle_graph(self, capsys, tmp_path):
-        graph = build_udg(spindle_points())
         path = tmp_path / "spindle.json"
-        path.write_text(json.dumps(graph_to_json(graph)))
+        path.write_text(json.dumps({"points": [list(p) for p in spindle_points()], "tolerance": 1e-9}))
         code, out, _ = run(capsys, "solve", str(path), "--format", "json")
         assert code == 0
         payload = json.loads(out)

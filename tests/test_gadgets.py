@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 
@@ -16,8 +15,6 @@ from annulus_chroma.gadgets import (
     embed_odd_cycle,
     embed_rod,
     embed_trirod,
-    embedding_from_json,
-    embedding_to_json,
     gadget_lower_bound,
     margin_of,
     spindle_points,
@@ -156,6 +153,18 @@ class TestOddCycle:
             embed_odd_cycle(1e-17)
         with pytest.raises(GadgetInfeasible):
             gadget_lower_bound(1e-5)
+
+    def test_message_claims_no_strict_inequality(self):
+        # The odd cycle embeds at its threshold, so "only for r > T" would be false.
+        assert embed_odd_cycle(ODD_CYCLE_THRESHOLD).params["n"] == 99
+        cases = [(embed_odd_cycle, 1e-5, ODD_CYCLE_THRESHOLD), (embed_trirod, 0.05, TRI_ROD_THRESHOLD),
+                 (embed_moser_spindle, 0.3, SPINDLE_THRESHOLD)]
+        for embed, r, threshold in cases:
+            with pytest.raises(GadgetInfeasible) as err:
+                embed(r)
+            message = str(err.value)
+            assert message == f"{err.value.kind} does not embed at r = {r!r}; threshold {threshold!r}"
+            assert ">" not in message and "<" not in message
 
 
 class TestTriRod:
@@ -343,19 +352,13 @@ class TestEmbeddingType:
         with pytest.raises(ValueError):
             GadgetEmbedding("odd_cycle", {}, pts, ((0, 1), (1, 2), (2, 3), (0, 3)), 0.1)
 
-    def test_json_round_trip(self):
-        emb = embed_moser_spindle(0.42)
-        doc = json.loads(json.dumps(embedding_to_json(emb)))
-        assert embedding_from_json(doc) == emb
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
+    def test_edge_to_non_finite_vertex_rejected(self, coordinate):
+        with pytest.raises(ValueError, match="finite"):
+            GadgetEmbedding("rod", {}, ((0.0, 0.0), (coordinate, 0.0)), ((0, 1),), 0.1)
 
-    def test_json_schema_errors(self):
-        doc = embedding_to_json(embed_rod(0.1))
-        doc.pop("margin")
-        with pytest.raises(Exception, match="missing keys"):
-            embedding_from_json(doc)
-
-    def test_json_bad_vertex_position(self):
-        doc = embedding_to_json(embed_rod(0.1))
-        doc["vertices"][0] = [1.0]
-        with pytest.raises(Exception, match=r"vertices\[0\]"):
-            embedding_from_json(doc)
+    def test_edges_canonicalised(self):
+        emb = GadgetEmbedding("tri_rod", {}, embed_trirod(0.1).vertices, ((2, 1), (1, 0), (0, 2)), 0.1)
+        assert emb.edges == ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(ValueError, match="duplicate"):
+            GadgetEmbedding("rod", {}, ((0.0, 0.0), (1.0, 0.0)), ((0, 1), (1, 0)), 0.1)

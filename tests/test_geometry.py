@@ -99,6 +99,16 @@ class TestAngularInterval:
         assert normalize_angle(-1e-300) == 0.0
         assert 0.0 <= normalize_angle(123.456) < TWO_PI
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start):
+        # Taken modulo 2*pi these are NaN, which would make [0, 0] an attained distance range.
+        with pytest.raises(ValueError, match="finite"):
+            normalize_angle(start)
+        with pytest.raises(ValueError, match="finite"):
+            AngularInterval(start, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            AnnularSector.of(Annulus(0.3), start, 1.0, False, False)
+
 
 class TestUnitChordAngle:
     def test_exact_values(self):

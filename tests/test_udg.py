@@ -14,7 +14,6 @@ from annulus_chroma.udg import (
     chromatic_number_exact,
     graph_from_edges,
     graph_from_json,
-    graph_to_json,
     greedy_clique,
     greedy_coloring,
     is_proper,
@@ -55,6 +54,11 @@ class TestBuildUdg:
         with pytest.raises(ValueError, match="finite"):
             build_udg([(0.0, 0.0), (1.0, 0.0)], tolerance)
 
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, coordinate):
+        with pytest.raises(ValueError, match="point 2 must have finite coordinates"):
+            build_udg([(0.0, 0.0), (1.0, 0.0), (coordinate, 0.0)])
+
     def test_tolerance_widens_detection(self):
         pts = [(0.0, 0.0), (1.0005, 0.0)]
         assert build_udg(pts, 1e-9).edges == ()
@@ -73,6 +77,18 @@ class TestGraphStructure:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             graph_from_edges(3, [(0, 3)])
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # An infinite tolerance would make any edge "unit", here one of length 5.
+        with pytest.raises(ValueError, match="finite"):
+            UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (5.0, 0.0)), tolerance)
+
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
+    def test_edge_to_non_finite_point_rejected(self, coordinate):
+        # abs(nan - 1.0) > tol is False, so a NaN length must not pass as unit.
+        with pytest.raises(ValueError, match="point 1 must have finite coordinates"):
+            UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (coordinate, 0.0)))
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -215,14 +231,17 @@ class TestIsProper:
 
 
 class TestJson:
-    def test_points_form_round_trip(self):
-        g = build_udg(list(spindle_points()), 1e-9)
-        doc = json.loads(json.dumps(graph_to_json(g)))
-        assert graph_from_json(doc).edges == g.edges
+    def test_points_form_literal(self):
+        doc = json.loads('{"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386], [2.0, 0.0]], '
+                         '"tolerance": 1e-9}')
+        g = graph_from_json(doc)
+        assert g == build_udg([(0.0, 0.0), (1.0, 0.0), (0.5, 0.8660254037844386), (2.0, 0.0)], 1e-9)
+        assert g.edges == ((0, 1), (0, 2), (1, 2), (1, 3))
 
-    def test_abstract_form_round_trip(self):
-        g = graph_from_edges(5, [(0, 1), (2, 4)])
-        assert graph_from_json(graph_to_json(g)) == g
+    def test_abstract_form_literal(self):
+        g = graph_from_json(json.loads('{"n": 5, "edges": [[0, 1], [4, 2]]}'))
+        assert g == graph_from_edges(5, [(0, 1), (2, 4)])
+        assert g.points is None
 
     def test_points_form_default_tolerance(self):
         g = graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]]})
