@@ -6,12 +6,15 @@ each open sector between consecutive rays is monochromatic and each ray
 colors in a proper radial coloring is ceil(2*pi / theta), where theta is
 the angular width of a unit chord on the outer circle.  The verifier
 checks every pair of same-colored pieces with contains_unit_pair and
-returns a witness for the first conflict.
+returns a witness for the first conflict.  It builds a piece's region only
+when its scan first reaches the piece, and a piece label only for the
+reported pair, so an early conflict costs little on a large coloring.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .geometry import (
@@ -24,7 +27,7 @@ from .geometry import (
     contains_unit_pair,
     unit_chord_angle,
 )
-from .schema import SchemaError, require_int, require_keys, require_list, require_number
+from .schema import SchemaError, require_ints, require_keys, require_number, require_numbers
 
 
 @dataclass(frozen=True)
@@ -83,25 +86,29 @@ class RadialColoring:
     boundary_colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boundaries", tuple(float(b) for b in self.boundaries))
-        object.__setattr__(self, "sector_colors", tuple(int(c) for c in self.sector_colors))
-        object.__setattr__(self, "boundary_colors", tuple(int(c) for c in self.boundary_colors))
+        object.__setattr__(self, "boundaries", tuple(map(float, self.boundaries)))
+        object.__setattr__(self, "sector_colors", tuple(map(int, self.sector_colors)))
+        object.__setattr__(self, "boundary_colors", tuple(map(int, self.boundary_colors)))
         n = len(self.boundaries)
         if n < 1:
             raise ValueError("a radial coloring needs at least one boundary ray")
-        for i, b in enumerate(self.boundaries):
-            if not 0.0 <= b < TWO_PI:
-                raise ValueError(f"boundary angle {i} out of [0, 2*pi): {b}")
-            if i > 0 and b <= self.boundaries[i - 1]:
-                raise ValueError(f"boundary angles must be strictly increasing at index {i}")
+        # One pass in C accepts a valid list; the loop only names the first bad index.
+        bs = self.boundaries
+        if not (0.0 <= bs[0] and bs[-1] < TWO_PI and all(map(operator.lt, bs, bs[1:]))):
+            for i, b in enumerate(bs):
+                if not 0.0 <= b < TWO_PI:
+                    raise ValueError(f"boundary angle {i} out of [0, 2*pi): {b}")
+                if i > 0 and b <= bs[i - 1]:
+                    raise ValueError(f"boundary angles must be strictly increasing at index {i}")
         if len(self.sector_colors) != n:
             raise ValueError(f"expected {n} sector colors, got {len(self.sector_colors)}")
         if len(self.boundary_colors) != n:
             raise ValueError(f"expected {n} boundary colors, got {len(self.boundary_colors)}")
         for name, colors in (("sector", self.sector_colors), ("boundary", self.boundary_colors)):
-            for i, c in enumerate(colors):
-                if c < 0:
-                    raise ValueError(f"{name} color {i} must be a nonnegative integer, got {c}")
+            if min(colors) < 0:
+                for i, c in enumerate(colors):
+                    if c < 0:
+                        raise ValueError(f"{name} color {i} must be a nonnegative integer, got {c}")
 
     @property
     def n(self) -> int:
@@ -123,15 +130,6 @@ class RadialColoring:
 
     def colors_used(self) -> list[int]:
         return sorted(set(self.sector_colors) | set(self.boundary_colors))
-
-    def pieces(self) -> list[tuple[str, AnnularSector, int]]:
-        """All monochromatic pieces as (label, region, color) triples."""
-        out: list[tuple[str, AnnularSector, int]] = []
-        for i in range(self.n):
-            out.append((f"sector {i}", self.sector(i), self.sector_colors[i]))
-        for i in range(self.n):
-            out.append((f"boundary {i}", self.boundary_segment(i), self.boundary_colors[i]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -168,23 +166,39 @@ def verify_radial_coloring(
     Sectors are open at both angular ends; boundary rays are closed
     zero-width segments.  Proper iff no same-colored pair of points lies at
     distance exactly 1; otherwise a witness pair is returned.
+
+    Piece k is sector k for k < n and boundary ray k - n otherwise.  Colors
+    are scanned in ascending order and each color's pairs (i, j), i <= j, in
+    index order.  A piece's region is built when the scan first reaches it,
+    so a conflict early in the scan builds few of the 2n regions, and labels
+    are formatted only for the reported pair.
     """
-    pieces = coloring.pieces()
-    by_color: dict[int, list[tuple[str, AnnularSector]]] = {}
-    for label, region, color in pieces:
-        by_color.setdefault(color, []).append((label, region))
+    n = coloring.n
+    by_color: dict[int, list[int]] = {}
+    for k, color in enumerate(coloring.sector_colors + coloring.boundary_colors):
+        by_color.setdefault(color, []).append(k)
+
+    def region(k: int) -> AnnularSector:
+        return coloring.sector(k) if k < n else coloring.boundary_segment(k - n)
+
+    def conflict(i: int, j: int, witness: tuple[Point, Point], color: int) -> VerificationResult:
+        labels = tuple(f"sector {k}" if k < n else f"boundary {k - n}" for k in (i, j))
+        return VerificationResult(proper=False, witness=witness, color=color, piece_labels=labels)
+
     for color in sorted(by_color):
         group = by_color[color]
-        for i in range(len(group)):
+        # Row 0 meets every piece of the color in order, so it builds them all.
+        regions: list[AnnularSector] = []
+        for k in group:
+            regions.append(region(k))
+            found, witness = contains_unit_pair(regions[0], regions[-1], tolerance)
+            if found:
+                return conflict(group[0], k, witness, color)
+        for i in range(1, len(group)):
             for j in range(i, len(group)):
-                found, witness = contains_unit_pair(group[i][1], group[j][1], tolerance)
+                found, witness = contains_unit_pair(regions[i], regions[j], tolerance)
                 if found:
-                    return VerificationResult(
-                        proper=False,
-                        witness=witness,
-                        color=color,
-                        piece_labels=(group[i][0], group[j][0]),
-                    )
+                    return conflict(group[i], group[j], witness, color)
     return VerificationResult(proper=True)
 
 
@@ -200,18 +214,9 @@ def coloring_to_json(coloring: RadialColoring) -> dict:
 def coloring_from_json(data: dict) -> RadialColoring:
     require_keys(data, ("r", "boundaries", "sector_colors", "boundary_colors"), "coloring")
     r = require_number(data["r"], "coloring.r")
-    boundaries = [
-        require_number(v, f"coloring.boundaries[{i}]")
-        for i, v in enumerate(require_list(data["boundaries"], "coloring.boundaries"))
-    ]
-    sector_colors = [
-        require_int(v, f"coloring.sector_colors[{i}]")
-        for i, v in enumerate(require_list(data["sector_colors"], "coloring.sector_colors"))
-    ]
-    boundary_colors = [
-        require_int(v, f"coloring.boundary_colors[{i}]")
-        for i, v in enumerate(require_list(data["boundary_colors"], "coloring.boundary_colors"))
-    ]
+    boundaries = require_numbers(data["boundaries"], "coloring.boundaries")
+    sector_colors = require_ints(data["sector_colors"], "coloring.sector_colors")
+    boundary_colors = require_ints(data["boundary_colors"], "coloring.boundary_colors")
     try:
         return RadialColoring(Annulus(r), tuple(boundaries), tuple(sector_colors), tuple(boundary_colors))
     except ValueError as exc:

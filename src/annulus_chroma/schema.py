@@ -41,6 +41,24 @@ def require_int(value, where: str) -> int:
     return value
 
 
+def require_numbers(value, where: str) -> list[float]:
+    """A list of finite numbers, as floats; errors name the first bad element like require_number."""
+    values = require_list(value, where)
+    if all(type(v) is float for v in values) and all(map(math.isfinite, values)):
+        return list(values)
+    if all(type(v) is int for v in values):
+        return list(map(float, values))
+    return [require_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def require_ints(value, where: str) -> list[int]:
+    """A list of integers; errors name the first bad element like require_int."""
+    values = require_list(value, where)
+    if all(type(v) is int for v in values):
+        return list(values)
+    return [require_int(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
 def require_list(value, where: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list, got {type(value).__name__}")

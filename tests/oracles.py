@@ -12,8 +12,8 @@ import random
 
 import numpy as np
 
-from annulus_chroma.geometry import Annulus, AnnularSector
-from annulus_chroma.radial import RadialColoring, construct_radial_coloring
+from annulus_chroma.geometry import DEFAULT_TOLERANCE, Annulus, AnnularSector, contains_unit_pair
+from annulus_chroma.radial import RadialColoring, VerificationResult, construct_radial_coloring
 from annulus_chroma.udg import UnitDistanceGraph
 
 TWO_PI = 2.0 * math.pi
@@ -325,3 +325,40 @@ def reference_odd_cycle(r: float, n_max: int = 99):
                 vertices = tuple((rho * math.cos(step * k), rho * math.sin(step * k)) for k in range(n))
                 return n, w, rho, vertices
     return None
+
+
+# Reference verifier: the eager scan that verify_radial_coloring replaced,
+# which built every piece and label before scanning, kept unchanged so tests
+# can require equal results, witnesses included.
+
+
+def reference_pieces(coloring: RadialColoring) -> list[tuple[str, AnnularSector, int]]:
+    """All monochromatic pieces as (label, region, color) triples."""
+    out: list[tuple[str, AnnularSector, int]] = []
+    for i in range(coloring.n):
+        out.append((f"sector {i}", coloring.sector(i), coloring.sector_colors[i]))
+    for i in range(coloring.n):
+        out.append((f"boundary {i}", coloring.boundary_segment(i), coloring.boundary_colors[i]))
+    return out
+
+
+def reference_verify_radial_coloring(
+    coloring: RadialColoring, tolerance: float = DEFAULT_TOLERANCE
+) -> VerificationResult:
+    pieces = reference_pieces(coloring)
+    by_color: dict[int, list[tuple[str, AnnularSector]]] = {}
+    for label, region, color in pieces:
+        by_color.setdefault(color, []).append((label, region))
+    for color in sorted(by_color):
+        group = by_color[color]
+        for i in range(len(group)):
+            for j in range(i, len(group)):
+                found, witness = contains_unit_pair(group[i][1], group[j][1], tolerance)
+                if found:
+                    return VerificationResult(
+                        proper=False,
+                        witness=witness,
+                        color=color,
+                        piece_labels=(group[i][0], group[j][0]),
+                    )
+    return VerificationResult(proper=True)

@@ -353,3 +353,29 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestEntry:
+    """cli.entry, the console script's target, turns main's result into the exit status."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "PROPER"], 0),
+        (["verify", "IMPROPER"], 1),
+        (["construct", "--r", "0.7"], 2),
+    ], ids=["proper", "improper", "bad-r"])
+    def test_exit_status(self, tmp_path, argv, expected):
+        proper, improper = tmp_path / "proper.json", tmp_path / "improper.json"
+        assert main(["construct", "--r", "0.15", "--out", str(proper)]) == 0
+        doc = json.loads(proper.read_text())
+        doc["sector_colors"] = [0] * len(doc["sector_colors"])
+        improper.write_text(json.dumps(doc))
+        argv = [{"PROPER": str(proper), "IMPROPER": str(improper)}.get(a, a) for a in argv]
+        src = Path(annulus_chroma.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = f"import sys; from annulus_chroma import cli; sys.argv = {['annulus-chroma', *argv]!r}; cli.entry()"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == expected, proc.stderr
+        if argv[0] == "verify":
+            assert proc.stdout.splitlines()[0] == ("proper" if expected == 0 else "improper")
+        else:
+            assert "error:" in proc.stderr

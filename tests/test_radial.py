@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,65 @@ from annulus_chroma.radial import (
     verify_radial_coloring,
 )
 from annulus_chroma.schema import SchemaError
-from oracles import random_proper_radial_coloring, random_radial_coloring
+from oracles import (
+    random_proper_radial_coloring,
+    random_radial_coloring,
+    reference_verify_radial_coloring,
+)
+
+
+def _piece(coloring, label):
+    """(region, color) of a verdict's piece label, parsed as ``cli`` parses it."""
+    kind, _, index = label.partition(" ")
+    i = int(index)
+    if kind == "sector":
+        return coloring.sector(i), coloring.sector_colors[i]
+    return coloring.boundary_segment(i), coloring.boundary_colors[i]
+
+
+def _ulp_steps(x, steps):
+    """x moved by ``steps`` representable doubles (negative steps go down)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+def _identity_suite():
+    """Seeded (coloring, tolerance) cases for comparing the verifier with the eager reference scan."""
+    tolerances = (1e-12, 1e-9, 1e-6)
+    rng = random.Random(8080)
+    cases = []
+    # random colorings of 1 to 10^4 boundaries; few colors, so mostly improper
+    for idx in range(700):
+        max_boundaries = rng.choice((1, 2, 8, 8, 8, 64, 64, 1000)) if idx % 50 else 10_000
+        r = rng.uniform(0.005, 0.495)
+        c = random_radial_coloring(rng, r, rng.randint(1, radial_chromatic_number(r) + 1), max_boundaries)
+        cases.append((c, tolerances[idx % 3]))
+    # proper colorings, which the scan compares pair by pair
+    r_min = thresholds()[0].max_r
+    for idx in range(200):
+        c = random_proper_radial_coloring(rng, rng.uniform(r_min, 0.499), max_cuts=rng.randint(0, 12))
+        cases.append((c, tolerances[idx % 3]))
+    # a single ray: the lone sector is the full circle minus the ray
+    for _ in range(40):
+        c = RadialColoring(Annulus(rng.uniform(0.005, 0.495)), (rng.uniform(0.0, TWO_PI),),
+                           (rng.randrange(2),), (rng.randrange(2),))
+        cases += [(c, tol) for tol in tolerances]
+    # the construction at each band threshold +- a few ulps, and the same cut
+    # on an annulus a few ulps wider, where its sectors span exactly theta
+    for t in [t.max_r for t in thresholds()[:-1]] + [0.5]:
+        for steps in range(-4, 5):
+            r = _ulp_steps(t, steps)
+            if not 0.0 < r < 0.5:
+                continue
+            c = construct_radial_coloring(r)
+            cases += [(c, tol) for tol in tolerances]
+            for wider in (1, 3):
+                r_wide = _ulp_steps(r, wider)
+                if r_wide < 0.5:
+                    cut = RadialColoring(Annulus(r_wide), c.boundaries, c.sector_colors, c.boundary_colors)
+                    cases += [(cut, tol) for tol in tolerances]
+    return cases
 
 
 class TestRadialChromaticNumber:
@@ -188,12 +247,49 @@ class TestVerify:
             if verdict.proper:
                 continue
             p, q = verdict.witness
-            pieces = {label: (region, color) for label, region, color in c.pieces()}
-            region1, color1 = pieces[verdict.piece_labels[0]]
-            region2, color2 = pieces[verdict.piece_labels[1]]
+            region1, color1 = _piece(c, verdict.piece_labels[0])
+            region2, color2 = _piece(c, verdict.piece_labels[1])
             assert color1 == color2 == verdict.color
             assert region1.contains(p)
             assert region2.contains(q)
+
+    def test_same_result_as_the_eager_reference_scan(self):
+        # Building pieces as the scan reaches them must not change which
+        # pair is reported, nor a bit of its witness.
+        cases = _identity_suite()
+        assert len({id(c) for c, _ in cases}) >= 1000
+        verdicts = []
+        for c, tol in cases:
+            verdict = verify_radial_coloring(c, tol)
+            assert verdict == reference_verify_radial_coloring(c, tol), (c.n, tol)
+            verdicts.append(verdict)
+        assert max(c.n for c, _ in cases) > 5000
+        improper = sum(not v.proper for v in verdicts)
+        assert 0.2 * len(cases) < improper < 0.9 * len(cases)
+        assert any(v.piece_labels and v.piece_labels[1].startswith("boundary") for v in verdicts)
+
+    def test_improper_scan_builds_only_the_pieces_it_reaches(self):
+        # A conflict early in the scan of 2 * 10^4 pieces must not pay for
+        # all of them: the eager scan peaked at 8.5 MB here.
+        rng = random.Random(8)
+        n = 10_000
+        angles = sorted({rng.uniform(0.0, TWO_PI) for _ in range(n)})
+        assert len(angles) == n
+        c = RadialColoring(
+            Annulus(0.1),
+            tuple(angles),
+            tuple(rng.randrange(3) for _ in range(n)),
+            tuple(rng.randrange(3) for _ in range(n)),
+        )
+        verify_radial_coloring(construct_radial_coloring(0.1))
+        tracemalloc.start()
+        try:
+            verdict = verify_radial_coloring(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict.proper
+        assert peak < 3_000_000, peak
 
     def test_rejection_sampling_oracle(self):
         # No random same-color pair in the constructed coloring may sit near
@@ -295,6 +391,41 @@ class TestJson:
         doc["sector_colors"][0] = 0.5
         with pytest.raises(SchemaError, match=r"sector_colors\[0\]"):
             coloring_from_json(doc)
+
+    @staticmethod
+    def _ten_ray_doc():
+        return {
+            "r": 0.1,
+            "boundaries": [0.5 * i for i in range(10)],
+            "sector_colors": [i % 4 for i in range(10)],
+            "boundary_colors": [i % 4 for i in range(10)],
+        }
+
+    @pytest.mark.parametrize(
+        "key, index, value, message",
+        [
+            ("boundaries", 7, True, "coloring.boundaries[7]: expected a number, got bool"),
+            ("sector_colors", 8, False, "coloring.sector_colors[8]: expected an integer, got bool"),
+            ("boundaries", 7, math.nan, "coloring.boundaries[7]: expected a finite number, got nan"),
+            ("boundary_colors", 9, 1.0, "coloring.boundary_colors[9]: expected an integer, got float"),
+            ("boundaries", 6, 2.5, "coloring: boundary angles must be strictly increasing at index 6"),
+            ("boundaries", 9, 7.0, "coloring: boundary angle 9 out of [0, 2*pi): 7.0"),
+            ("sector_colors", 8, -1, "coloring: sector color 8 must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_late_bad_element_message(self, key, index, value, message):
+        doc = self._ten_ray_doc()
+        doc[key][index] = value
+        with pytest.raises(SchemaError) as exc:
+            coloring_from_json(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("boundaries", [[0, 1, 2, 3, 4, 5], [0, 1.0, 2, 3.5, 4, 5]])
+    def test_int_boundaries_read_as_floats(self, boundaries):
+        doc = {"r": 0.1, "boundaries": boundaries, "sector_colors": [0] * 6, "boundary_colors": [1] * 6}
+        c = coloring_from_json(doc)
+        assert c.boundaries == tuple(float(b) for b in boundaries)
+        assert all(type(b) is float for b in c.boundaries)
 
     def test_structural_error_wrapped(self):
         doc = {"r": 0.1, "boundaries": [1.0, 0.5], "sector_colors": [0, 1], "boundary_colors": [0, 1]}
