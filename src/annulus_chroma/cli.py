@@ -75,7 +75,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, and integers past the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}")
 
 

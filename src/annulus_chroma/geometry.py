@@ -81,10 +81,6 @@ class AngularInterval:
             raise ValueError("zero-width interval must be closed at both endpoints")
         object.__setattr__(self, "start", normalize_angle(self.start))
 
-    @property
-    def end(self) -> float:
-        return self.start + self.width
-
     def contains(self, angle: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
         """Whether the direction lies in the arc; the tolerance widens closed ends only."""
         if self.width >= TWO_PI:
@@ -155,13 +151,20 @@ def unit_chord_angle(outer_radius: float) -> float:
 # --------------------------------------------------------------------------
 # Distance analysis between two sectors of the same annulus.
 #
-# With p = (rho1, phi1) and q = (rho2, phi2),
-#     d^2 = rho1^2 + rho2^2 - 2*rho1*rho2*cos(phi1 - phi2),
-# which is strictly decreasing in cos(phi1 - phi2) and jointly convex in
-# the radii.  The angular difference phi1 - phi2 ranges over an arc of
-# width w1 + w2, so the extremes of cos over that arc (with attainment
-# flags derived from the endpoint flags) reduce the problem to a small
-# radius-box optimization.
+# With p = (rho1, phi1), q = (rho2, phi2) and c = cos(phi1 - phi2),
+#     d^2 = rho1^2 + rho2^2 - 2*rho1*rho2*c = (rho1 - rho2)^2 + 2*rho1*rho2*(1 - c),
+# strictly decreasing in c and jointly convex in the radii.  phi1 - phi2
+# ranges over one arc [lo, hi] of width w1 + w2, read once per pair; the
+# extremes of cos over it (attainment flags from the endpoint flags) fix c.
+# Every piece spans the full radial extent [a, b], a + b = 1, so the radius
+# box is [a, b]^2 for every pair and its extremes are closed-form:
+# - d_max^2 is the largest corner value at the least c: a convex function
+#   peaks at a corner, and d^2(b, a) equals d^2(a, b) bit for bit.
+# - d_min^2 is d^2(a, a) at the greatest c, where both terms above are
+#   least.  For c > 0 with c*b >= a the edge point (c*b, b) is taken too:
+#   within rounding of c = 1 it can round below d^2(a, a), and the smaller
+#   value is what a search over every corner and edge critical point finds
+#   (tests/oracles.py keeps that search as the reference).
 # --------------------------------------------------------------------------
 
 
@@ -177,38 +180,28 @@ class _PairAnalysis:
     interval: DistanceInterval
     arc1: AngularInterval
     arc2: AngularInterval
+    lo: float  # unwrapped range [lo, hi] of phi1 - phi2
+    hi: float
     cos_max: _AngleExtreme  # governs the distance minimum
     cos_min: _AngleExtreme  # governs the distance maximum
     swapped: bool
 
 
-def _difference_arc(arc1: AngularInterval, arc2: AngularInterval):
-    """Unwrapped range [lo, hi] of phi1 - phi2 plus endpoint attainment flags."""
-    lo = arc1.start - (arc2.start + arc2.width)
-    hi = (arc1.start + arc1.width) - arc2.start
-    lo_ok = arc1.start_closed and arc2.end_closed
-    hi_ok = arc1.end_closed and arc2.start_closed
-    if arc1.width >= TWO_PI:
-        lo_ok = hi_ok = True
-    if arc2.width >= TWO_PI:
-        lo_ok = hi_ok = True
-    return lo, hi, lo_ok, hi_ok
-
-
 def _cos_extreme(
-    arc1: AngularInterval,
-    arc2: AngularInterval,
+    lo: float,
+    hi: float,
+    lo_ok: bool,
+    hi_ok: bool,
     target: float,
     want_max: bool,
     tolerance: float,
 ) -> _AngleExtreme:
-    """Extreme of cos over the angular-difference arc.
+    """Extreme of cos over the angular-difference arc [lo, hi].
 
-    ``target`` is the critical angle of cos being hunted (0 for the max,
-    pi for the min); if it is unreachable the extreme sits at an arc
-    endpoint.
+    ``lo_ok`` and ``hi_ok`` say whether each end is attained.  ``target``
+    is the critical angle of cos being hunted (0 for the max, pi for the
+    min); if it is unreachable the extreme sits at an arc endpoint.
     """
-    lo, hi, lo_ok, hi_ok = _difference_arc(arc1, arc2)
     span = hi - lo
 
     if span >= TWO_PI + tolerance:
@@ -219,14 +212,11 @@ def _cos_extreme(
     if u >= TWO_PI - tolerance:
         u = 0.0
 
-    if abs(span - TWO_PI) <= tolerance:
-        # Full circle with a single seam at lo (== hi mod 2*pi).
-        if u <= tolerance or u >= span - tolerance:
-            return _AngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
-        return _AngleExtreme(math.cos(target), lo + u, True)
-
     at_lo = u <= tolerance
     at_hi = abs(u - span) <= tolerance
+    if abs(span - TWO_PI) <= tolerance:
+        # Full circle with a single seam at lo (== hi mod 2*pi).
+        at_lo = at_hi = at_lo or u >= span - tolerance
     if at_lo and at_hi:
         return _AngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
     if at_lo:
@@ -263,38 +253,32 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _Pa
     swapped = _sector_key(s2) < _sector_key(s1)
     arc1, arc2 = (s2.arc, s1.arc) if swapped else (s1.arc, s2.arc)
 
-    cos_max = _cos_extreme(arc1, arc2, 0.0, want_max=True, tolerance=tolerance)
-    cos_min = _cos_extreme(arc1, arc2, math.pi, want_max=False, tolerance=tolerance)
+    lo = arc1.start - (arc2.start + arc2.width)
+    hi = (arc1.start + arc1.width) - arc2.start
+    if arc1.width >= TWO_PI or arc2.width >= TWO_PI:
+        lo_ok = hi_ok = True
+    else:
+        lo_ok = arc1.start_closed and arc2.end_closed
+        hi_ok = arc1.end_closed and arc2.start_closed
+    cos_max = _cos_extreme(lo, hi, lo_ok, hi_ok, 0.0, want_max=True, tolerance=tolerance)
+    cos_min = _cos_extreme(lo, hi, lo_ok, hi_ok, math.pi, want_max=False, tolerance=tolerance)
 
     a = s1.annulus.inner_radius
     b = s1.annulus.outer_radius
-    corners = ((a, a), (a, b), (b, a), (b, b))
-
-    # Maximum distance: d^2 is convex in the radii, so the maximum over the
-    # radius box sits at a corner, evaluated at the smallest cos.
-    radii_max = max(corners, key=lambda p: _dist_sq(p[0], p[1], cos_min.value))
-    d_max = math.sqrt(max(0.0, _dist_sq(radii_max[0], radii_max[1], cos_min.value)))
-
-    # Minimum distance: corners plus the per-edge critical points
-    # rho1 = cos * rho2 (present only when cos > 0).
-    candidates = list(corners)
+    c = cos_min.value
+    d_max_sq = max(_dist_sq(a, a, c), _dist_sq(a, b, c), _dist_sq(b, b, c))
     c = cos_max.value
-    if c > 0.0:
-        for fixed in (a, b):
-            crit = c * fixed
-            if a <= crit <= b:
-                candidates.append((crit, fixed))
-                candidates.append((fixed, crit))
-    radii_min = min(candidates, key=lambda p: _dist_sq(p[0], p[1], c))
-    d_min = math.sqrt(max(0.0, _dist_sq(radii_min[0], radii_min[1], c)))
+    d_min_sq = _dist_sq(a, a, c)
+    if c > 0.0 and c * b >= a:
+        d_min_sq = min(d_min_sq, _dist_sq(c * b, b, c))
 
     interval = DistanceInterval(
-        min=d_min,
-        max=d_max,
+        min=math.sqrt(max(0.0, d_min_sq)),
+        max=math.sqrt(max(0.0, d_max_sq)),
         min_attained_interior=cos_max.attained,
         max_attained_interior=cos_min.attained,
     )
-    return _PairAnalysis(interval, arc1, arc2, cos_max, cos_min, swapped)
+    return _PairAnalysis(interval, arc1, arc2, lo, hi, cos_max, cos_min, swapped)
 
 
 def sector_distance_interval(
@@ -333,7 +317,7 @@ def _unit_chord_witness(analysis: _PairAnalysis, outer: float) -> tuple[Point, P
     attained extreme and the radius is capped at the outer one (distance 1
     within the tolerance).
     """
-    lo, hi, _, _ = _difference_arc(analysis.arc1, analysis.arc2)
+    lo, hi = analysis.lo, analysis.hi
     theta = unit_chord_angle(outer)
     turns = range(math.floor(lo / TWO_PI) - 1, math.ceil(hi / TWO_PI) + 1)
     start, end = max(

@@ -62,9 +62,7 @@ def radial_chromatic_number(r: float) -> int:
     larger excess means N sectors of width theta leave a gap and N + 1
     colors are needed.
     """
-    if not 0.0 < r < 0.5:
-        raise ValueError(f"annulus half-width must lie strictly in (0, 1/2), got {r}")
-    ratio = TWO_PI / unit_chord_angle(0.5 + r)
+    ratio = TWO_PI / unit_chord_angle(Annulus(r).outer_radius)
     nearest = round(ratio)
     if abs(ratio - nearest) <= 4.0 * math.ulp(nearest):
         return int(nearest)

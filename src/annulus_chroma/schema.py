@@ -21,7 +21,10 @@ class SchemaError(ValueError):
 def require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: expected a finite number, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise SchemaError(f"{where}: expected a finite number, got {value}")
     return value
@@ -47,7 +50,10 @@ def require_numbers(value, where: str) -> list[float]:
     if all(type(v) is float for v in values) and all(map(math.isfinite, values)):
         return list(values)
     if all(type(v) is int for v in values):
-        return list(map(float, values))
+        try:
+            return list(map(float, values))
+        except OverflowError:
+            pass  # the per-element checks below name the first integer too large
     return [require_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 

@@ -1,18 +1,28 @@
-"""Independent oracles and random generators shared across the test suite.
+"""Independent oracles, reference implementations and random generators shared across the test suite.
 
-Everything here deliberately avoids the library's analytic machinery: the
-distance oracles work from dense grids, and the chromatic oracle is a plain
-backtracking enumeration in natural vertex order.
+The distance oracles avoid the library's analytic machinery and work from
+dense grids; the chromatic oracle is a plain backtracking enumeration in
+natural vertex order.  The reference sections keep algorithms the library
+has replaced, unchanged, so tests can require equal results.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from annulus_chroma.geometry import DEFAULT_TOLERANCE, Annulus, AnnularSector, contains_unit_pair
+from annulus_chroma.geometry import (
+    DEFAULT_TOLERANCE,
+    AngularInterval,
+    Annulus,
+    AnnularSector,
+    DistanceInterval,
+    contains_unit_pair,
+    unit_chord_angle,
+)
 from annulus_chroma.radial import RadialColoring, VerificationResult, construct_radial_coloring
 from annulus_chroma.udg import UnitDistanceGraph
 
@@ -362,3 +372,215 @@ def reference_verify_radial_coloring(
                         piece_labels=(group[i][0], group[j][0]),
                     )
     return VerificationResult(proper=True)
+
+
+# Reference pair analysis: the candidate search over the radius box that the
+# closed forms in geometry replaced, reading the difference arc in each step,
+# kept unchanged so tests can require equal intervals, verdicts and witnesses.
+
+
+@dataclass(frozen=True)
+class _ReferenceAngleExtreme:
+    value: float
+    delta: float
+    attained: bool
+
+
+@dataclass(frozen=True)
+class _ReferencePairAnalysis:
+    interval: DistanceInterval
+    arc1: AngularInterval
+    arc2: AngularInterval
+    cos_max: _ReferenceAngleExtreme
+    cos_min: _ReferenceAngleExtreme
+    swapped: bool
+
+
+def _reference_difference_arc(arc1: AngularInterval, arc2: AngularInterval):
+    lo = arc1.start - (arc2.start + arc2.width)
+    hi = (arc1.start + arc1.width) - arc2.start
+    lo_ok = arc1.start_closed and arc2.end_closed
+    hi_ok = arc1.end_closed and arc2.start_closed
+    if arc1.width >= TWO_PI:
+        lo_ok = hi_ok = True
+    if arc2.width >= TWO_PI:
+        lo_ok = hi_ok = True
+    return lo, hi, lo_ok, hi_ok
+
+
+def _reference_cos_extreme(
+    arc1: AngularInterval,
+    arc2: AngularInterval,
+    target: float,
+    want_max: bool,
+    tolerance: float,
+) -> _ReferenceAngleExtreme:
+    lo, hi, lo_ok, hi_ok = _reference_difference_arc(arc1, arc2)
+    span = hi - lo
+
+    if span >= TWO_PI + tolerance:
+        delta = lo + ((target - lo) % TWO_PI)
+        return _ReferenceAngleExtreme(math.cos(target), delta, True)
+
+    u = (target - lo) % TWO_PI
+    if u >= TWO_PI - tolerance:
+        u = 0.0
+
+    if abs(span - TWO_PI) <= tolerance:
+        if u <= tolerance or u >= span - tolerance:
+            return _ReferenceAngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
+        return _ReferenceAngleExtreme(math.cos(target), lo + u, True)
+
+    at_lo = u <= tolerance
+    at_hi = abs(u - span) <= tolerance
+    if at_lo and at_hi:
+        return _ReferenceAngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
+    if at_lo:
+        return _ReferenceAngleExtreme(math.cos(target), lo, lo_ok)
+    if at_hi:
+        return _ReferenceAngleExtreme(math.cos(target), hi, hi_ok)
+    if u < span:
+        return _ReferenceAngleExtreme(math.cos(target), lo + u, True)
+
+    v_lo = math.cos(abs(lo))
+    v_hi = math.cos(abs(hi))
+    if abs(v_lo - v_hi) <= 1e-12:
+        return _ReferenceAngleExtreme(v_lo if want_max else v_hi, lo if lo_ok else hi, lo_ok or hi_ok)
+    if (v_lo > v_hi) == want_max:
+        return _ReferenceAngleExtreme(v_lo, lo, lo_ok)
+    return _ReferenceAngleExtreme(v_hi, hi, hi_ok)
+
+
+def _reference_dist_sq(r1: float, r2: float, c: float) -> float:
+    return r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * c
+
+
+def _reference_sector_key(s: AnnularSector):
+    a = s.arc
+    return (a.start, a.width, a.start_closed, a.end_closed)
+
+
+def _reference_analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _ReferencePairAnalysis:
+    if s1.annulus != s2.annulus:
+        raise ValueError("sectors belong to different annuli")
+
+    swapped = _reference_sector_key(s2) < _reference_sector_key(s1)
+    arc1, arc2 = (s2.arc, s1.arc) if swapped else (s1.arc, s2.arc)
+
+    cos_max = _reference_cos_extreme(arc1, arc2, 0.0, want_max=True, tolerance=tolerance)
+    cos_min = _reference_cos_extreme(arc1, arc2, math.pi, want_max=False, tolerance=tolerance)
+
+    a = s1.annulus.inner_radius
+    b = s1.annulus.outer_radius
+    corners = ((a, a), (a, b), (b, a), (b, b))
+
+    radii_max = max(corners, key=lambda p: _reference_dist_sq(p[0], p[1], cos_min.value))
+    d_max = math.sqrt(max(0.0, _reference_dist_sq(radii_max[0], radii_max[1], cos_min.value)))
+
+    candidates = list(corners)
+    c = cos_max.value
+    if c > 0.0:
+        for fixed in (a, b):
+            crit = c * fixed
+            if a <= crit <= b:
+                candidates.append((crit, fixed))
+                candidates.append((fixed, crit))
+    radii_min = min(candidates, key=lambda p: _reference_dist_sq(p[0], p[1], c))
+    d_min = math.sqrt(max(0.0, _reference_dist_sq(radii_min[0], radii_min[1], c)))
+
+    interval = DistanceInterval(
+        min=d_min,
+        max=d_max,
+        min_attained_interior=cos_max.attained,
+        max_attained_interior=cos_min.attained,
+    )
+    return _ReferencePairAnalysis(interval, arc1, arc2, cos_max, cos_min, swapped)
+
+
+def reference_sector_distance_interval(
+    s1: AnnularSector, s2: AnnularSector, tolerance: float = DEFAULT_TOLERANCE
+) -> DistanceInterval:
+    return _reference_analyze_pair(s1, s2, tolerance).interval
+
+
+def _reference_pair_for_delta(arc1: AngularInterval, arc2: AngularInterval, delta: float) -> tuple[float, float]:
+    u0, w1 = arc1.start, arc1.width
+    v0, w2 = arc2.start, arc2.width
+    phi2_lo = max(v0, u0 - delta)
+    phi2_hi = min(v0 + w2, u0 + w1 - delta)
+    phi2 = 0.5 * (phi2_lo + phi2_hi)
+    return phi2 + delta, phi2
+
+
+def _reference_polar_point(rho: float, phi: float) -> tuple[float, float]:
+    return (rho * math.cos(phi), rho * math.sin(phi))
+
+
+def _reference_unit_chord_witness(analysis: _ReferencePairAnalysis, outer: float):
+    lo, hi, _, _ = _reference_difference_arc(analysis.arc1, analysis.arc2)
+    theta = unit_chord_angle(outer)
+    turns = range(math.floor(lo / TWO_PI) - 1, math.ceil(hi / TWO_PI) + 1)
+    start, end = max(
+        ((max(lo, k * TWO_PI + theta), min(hi, (k + 1) * TWO_PI - theta)) for k in turns),
+        key=lambda piece: piece[1] - piece[0],
+    )
+    if end > start:
+        delta = min(max(0.5 * (lo + hi), start), end)
+    else:
+        delta = (analysis.cos_min if analysis.cos_min.attained else analysis.cos_max).delta
+    phi1, phi2 = _reference_pair_for_delta(analysis.arc1, analysis.arc2, delta)
+    half_chord = abs(math.sin(0.5 * (phi1 - phi2)))
+    rho = outer if 2.0 * outer * half_chord <= 1.0 else 0.5 / half_chord
+    p, q = _reference_polar_point(rho, phi1), _reference_polar_point(rho, phi2)
+    return (q, p) if analysis.swapped else (p, q)
+
+
+def reference_contains_unit_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float = DEFAULT_TOLERANCE):
+    analysis = _reference_analyze_pair(s1, s2, tolerance)
+    di = analysis.interval
+    if 1.0 < di.min - tolerance or 1.0 > di.max + tolerance:
+        return False, None
+    if (
+        di.min + tolerance < 1.0 < di.max - tolerance
+        or (abs(1.0 - di.min) <= tolerance and di.min_attained_interior)
+        or (abs(1.0 - di.max) <= tolerance and di.max_attained_interior)
+    ):
+        return True, _reference_unit_chord_witness(analysis, s1.annulus.outer_radius)
+    return False, None
+
+
+def random_sector_pair(rng: random.Random) -> tuple[AnnularSector, AnnularSector, float]:
+    """(s1, s2, tolerance) aimed at the pair analysis's edge cases.
+
+    r runs log-uniformly from 1e-9 to 0.499 and the tolerance from 1e-12 to
+    1e-3.  Widths are drawn near theta, near 2*pi, under 1e-6, zero (radial
+    segments) or anywhere, with random open/closed ends; the second piece
+    starts anywhere, or at, theta or pi past the first one's start or end,
+    give or take up to 10^6 tolerances.
+    """
+    r = 10.0 ** rng.uniform(-9.0, math.log10(0.499))
+    tolerance = 10.0 ** rng.uniform(-12.0, -3.0)
+    annulus = Annulus(r)
+    theta = unit_chord_angle(annulus.outer_radius)
+    jitter = tolerance * rng.choice((0.0, 0.0, 0.5, 1.0, 2.0, 10.0 ** rng.uniform(0.0, 6.0))) * rng.choice((-1.0, 1.0))
+
+    def piece(start: float) -> AnnularSector:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return AnnularSector.radial_segment(annulus, start)
+        if kind == 1:
+            width = theta + jitter
+        elif kind == 2:
+            width = TWO_PI - rng.choice((0.0, 0.5 * tolerance, tolerance, 2.0 * tolerance, rng.uniform(0.0, 1e-3)))
+        elif kind == 3:
+            width = rng.uniform(1e-15, 1e-6)
+        else:
+            width = rng.uniform(0.0, TWO_PI)
+        width = min(max(width, 1e-15), TWO_PI)
+        return AnnularSector.of(annulus, start, width, rng.random() < 0.5, rng.random() < 0.5)
+
+    s1 = piece(rng.uniform(0.0, TWO_PI))
+    anchor = s1.arc.start + rng.choice((0.0, s1.arc.width))
+    offset = rng.choice((None, 0.0, theta, math.pi, -theta))
+    s2 = piece(rng.uniform(0.0, TWO_PI) if offset is None else anchor + offset + jitter)
+    return s1, s2, tolerance

@@ -1,10 +1,12 @@
-"""The README's Library import block is the public API, and its example lines hold."""
+"""The README's Library import block is the public API, its example lines hold, and its command lines run."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import annulus_chroma
+from annulus_chroma import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +47,17 @@ def test_example_lines_give_their_commented_results():
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert checked == 2
     assert namespace["coloring"].n == 5  # "5 sectors"
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", text[text.index("## Command line"):], re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("annulus-chroma ")]
+    graph = re.search(r'^\{"n": .*\}$', text[text.index("Graph (`solve` input)"):], re.M).group(0)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.TOLERANCE_ENV, raising=False)
+    (tmp_path / "graph.json").write_text(graph)
+    for line in commands:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+    assert len(commands) == 10

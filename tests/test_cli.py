@@ -111,12 +111,37 @@ class TestConstructAndVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("content", [
+        b'{"r": 0.1, "boundaries": [0.0], "sector_colors": [0], "boundary_colors": [0], "x": "\xff"}',
+        b'{"r": 0.1, "boundaries": [0.0, 1' + b"0" * 5000 + b'], "sector_colors": [0, 1], "boundary_colors": [0, 1]}',
+    ], ids=["not-utf8", "too-many-digits"])
+    def test_verify_unreadable_json(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "is not valid JSON" in err
+
     def test_verify_missing_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"r": 0.1}))
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "boundaries" in err
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("boundaries", [0, 10**400], "coloring.boundaries[1]"),
+        ("r", 10**400, "coloring.r"),
+    ], ids=["boundary", "r"])
+    def test_verify_integer_too_large_for_a_float(self, capsys, tmp_path, key, value, where):
+        path = tmp_path / "big.json"
+        doc = {"r": 0.1, "boundaries": [0.0, 1.0], "sector_colors": [0, 1], "boundary_colors": [0, 1], key: value}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{where}: expected a finite number" in err
 
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
@@ -239,6 +264,14 @@ class TestSolve:
         path.write_text(json.dumps({"edges": [[0, 1]]}))
         code, _, _ = run(capsys, "solve", str(path))
         assert code == 2
+
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"points": [[10**400, 0], [0, 0]]}))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert "graph.points[0][0]: expected a finite number" in err
 
     def test_nan_tolerance_gives_no_verdict(self, capsys, tmp_path):
         path = tmp_path / "graph.json"

@@ -15,7 +15,15 @@ from annulus_chroma.geometry import (
     sector_distance_interval,
     unit_chord_angle,
 )
-from oracles import pairwise_extremes, random_point_in, random_sector, sampled_extremes
+from oracles import (
+    pairwise_extremes,
+    random_point_in,
+    random_sector,
+    random_sector_pair,
+    reference_contains_unit_pair,
+    reference_sector_distance_interval,
+    sampled_extremes,
+)
 
 
 class TestAnnulus:
@@ -406,3 +414,19 @@ class TestContainsUnitPair:
                 assert found
             if 1.0 < di.min - 1e-9 or 1.0 > di.max + 1e-9:
                 assert not found
+
+
+class TestReferencePairAnalysis:
+    def test_same_results_as_the_radius_box_search(self):
+        # The closed-form radius box must report what the corner and edge
+        # candidate search reported, to the last bit, verdicts and witnesses
+        # included.
+        rng = random.Random(2013)
+        positives = 0
+        for _ in range(20_000):
+            s1, s2, tol = random_sector_pair(rng)
+            assert sector_distance_interval(s1, s2, tol) == reference_sector_distance_interval(s1, s2, tol), (s1, s2, tol)
+            verdict = contains_unit_pair(s1, s2, tol)
+            assert verdict == reference_contains_unit_pair(s1, s2, tol), (s1, s2, tol)
+            positives += verdict[0]
+        assert 2_000 < positives < 18_000

@@ -427,6 +427,21 @@ class TestJson:
         assert c.boundaries == tuple(float(b) for b in boundaries)
         assert all(type(b) is float for b in c.boundaries)
 
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("boundaries", [0, 10**400], "coloring.boundaries[1]"),
+            ("boundaries", [0.0, 10**400], "coloring.boundaries[1]"),
+            ("r", 10**400, "coloring.r"),
+        ],
+        ids=["int-boundaries", "mixed-boundaries", "r"],
+    )
+    def test_integer_too_large_for_a_float(self, key, value, where):
+        doc = {"r": 0.1, "boundaries": [0.0, 1.0], "sector_colors": [0, 1], "boundary_colors": [0, 1], key: value}
+        with pytest.raises(SchemaError) as exc:
+            coloring_from_json(doc)
+        assert str(exc.value) == f"{where}: expected a finite number, got an integer too large for a float"
+
     def test_structural_error_wrapped(self):
         doc = {"r": 0.1, "boundaries": [1.0, 0.5], "sector_colors": [0, 1], "boundary_colors": [0, 1]}
         with pytest.raises(SchemaError, match="strictly increasing"):

@@ -252,7 +252,7 @@ class TestJson:
         with pytest.raises(SchemaError, match="graph.tolerance"):
             graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]], "tolerance": tolerance})
 
-    @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge-int")])
     def test_non_finite_point_rejected(self, coordinate):
         with pytest.raises(SchemaError, match=r"points\[1\]\[0\]: expected a finite number"):
             graph_from_json({"points": [[0.0, 0.0], [coordinate, 0.0]]})
