@@ -118,8 +118,9 @@ def margin_of(vertices, annulus: Annulus) -> float:
 def embed_rod(r: float) -> GadgetEmbedding:
     """Unit segment with both endpoints at radius (1/2 + outer_radius)/2.
 
-    That radius is the midpoint of (1/2, outer_radius), so the rod is
-    strictly interior with margin r/2 for every valid r.
+    That radius is the midpoint of (1/2, outer_radius), so the margin is
+    r/2 up to the rounding of radii near 1/2.  For r <= 2**-54, where
+    1/2 + r rounds to 1/2, the rod is a diameter and the margin is 0.
     """
     annulus = Annulus(r)
     rho = 0.5 * (0.5 + annulus.outer_radius)

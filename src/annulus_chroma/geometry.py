@@ -151,26 +151,24 @@ def unit_chord_angle(outer_radius: float) -> float:
 # --------------------------------------------------------------------------
 # Distance analysis between two sectors of the same annulus.
 #
-# With p = (rho1, phi1), q = (rho2, phi2) and c = cos(phi1 - phi2),
-#     d^2 = rho1^2 + rho2^2 - 2*rho1*rho2*c = (rho1 - rho2)^2 + 2*rho1*rho2*(1 - c),
-# strictly decreasing in c and jointly convex in the radii.  phi1 - phi2
-# ranges over one arc [lo, hi] of width w1 + w2, read once per pair; the
-# extremes of cos over it (attainment flags from the endpoint flags) fix c.
-# Every piece spans the full radial extent [a, b], a + b = 1, so the radius
-# box is [a, b]^2 for every pair and its extremes are closed-form:
-# - d_max^2 is the largest corner value at the least c: a convex function
-#   peaks at a corner, and d^2(b, a) equals d^2(a, b) bit for bit.
-# - d_min^2 is d^2(a, a) at the greatest c, where both terms above are
-#   least.  For c > 0 with c*b >= a the edge point (c*b, b) is taken too:
-#   within rounding of c = 1 it can round below d^2(a, a), and the smaller
-#   value is what a search over every corner and edge critical point finds
-#   (tests/oracles.py keeps that search as the reference).
+# Every piece spans the full radial extent [a, b] = [1/2 - r, 1/2 + r], so a
+# pair of points is a chord: at radii rho1, rho2 and circular distance g,
+#     d^2 = (rho1 - rho2)^2 + 4*rho1*rho2*sin^2(g/2),
+# increasing in g on [0, pi].  phi1 - phi2 ranges over one arc [lo, hi] of
+# width w1 + w2, read once per pair; the extremes of g over it (attainment
+# flags from the endpoint flags) fix the distance extremes in closed form:
+# - d_min = 2*a*sin(g_min/2), at radii (a, a), where both terms are least;
+# - d_max = max(2*b*sin(g_max/2), sqrt((b - a)^2 + 4*a*b*sin^2(g_max/2))),
+#   the larger of the corners (b, b) and (a, b), since d^2 is convex in the
+#   radii and (a, a) never exceeds (b, b).
+# The (a, b) corner never exceeds a + b = 1, so with theta = 2*asin(1/(2*b))
+# the exact d_max reaches 1 exactly when g_max >= theta.
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _AngleExtreme:
-    value: float  # extreme value of cos(delta)
+class _GapExtreme:
+    gap: float  # extreme circular distance in [0, pi]
     delta: float  # a realizing angular difference in [lo, hi], at an attained end if one is
     attained: bool  # realizable by a pair respecting the endpoint flags
 
@@ -182,31 +180,30 @@ class _PairAnalysis:
     arc2: AngularInterval
     lo: float  # unwrapped range [lo, hi] of phi1 - phi2
     hi: float
-    cos_max: _AngleExtreme  # governs the distance minimum
-    cos_min: _AngleExtreme  # governs the distance maximum
+    gap_min: _GapExtreme  # governs the distance minimum
+    gap_max: _GapExtreme  # governs the distance maximum
     swapped: bool
 
 
-def _cos_extreme(
+def _gap_extreme(
     lo: float,
     hi: float,
     lo_ok: bool,
     hi_ok: bool,
     target: float,
-    want_max: bool,
     tolerance: float,
-) -> _AngleExtreme:
-    """Extreme of cos over the angular-difference arc [lo, hi].
+) -> _GapExtreme:
+    """Extreme circular distance over the angular-difference arc [lo, hi].
 
     ``lo_ok`` and ``hi_ok`` say whether each end is attained.  ``target``
-    is the critical angle of cos being hunted (0 for the max, pi for the
-    min); if it is unreachable the extreme sits at an arc endpoint.
+    is the circular distance being hunted (0 for the min, pi for the max);
+    if it is unreachable the extreme sits at an arc endpoint.
     """
     span = hi - lo
 
     if span >= TWO_PI + tolerance:
         delta = lo + ((target - lo) % TWO_PI)
-        return _AngleExtreme(math.cos(target), delta, True)
+        return _GapExtreme(target, delta, True)
 
     u = (target - lo) % TWO_PI
     if u >= TWO_PI - tolerance:
@@ -218,26 +215,25 @@ def _cos_extreme(
         # Full circle with a single seam at lo (== hi mod 2*pi).
         at_lo = at_hi = at_lo or u >= span - tolerance
     if at_lo and at_hi:
-        return _AngleExtreme(math.cos(target), lo if lo_ok else hi, lo_ok or hi_ok)
+        return _GapExtreme(target, lo if lo_ok else hi, lo_ok or hi_ok)
     if at_lo:
-        return _AngleExtreme(math.cos(target), lo, lo_ok)
+        return _GapExtreme(target, lo, lo_ok)
     if at_hi:
-        return _AngleExtreme(math.cos(target), hi, hi_ok)
+        return _GapExtreme(target, hi, hi_ok)
     if u < span:
-        return _AngleExtreme(math.cos(target), lo + u, True)
+        return _GapExtreme(target, lo + u, True)
 
-    # Critical angle unreachable: the extreme is at an arc endpoint.
+    # Target unreachable: the extreme is at the arc endpoint of greater
+    # (min) or lesser (max) cosine, the two counted equal within 1e-12.
+    want_min = target == 0.0
     v_lo = math.cos(abs(lo))
     v_hi = math.cos(abs(hi))
     if abs(v_lo - v_hi) <= 1e-12:
-        return _AngleExtreme(v_lo if want_max else v_hi, lo if lo_ok else hi, lo_ok or hi_ok)
-    if (v_lo > v_hi) == want_max:
-        return _AngleExtreme(v_lo, lo, lo_ok)
-    return _AngleExtreme(v_hi, hi, hi_ok)
-
-
-def _dist_sq(r1: float, r2: float, c: float) -> float:
-    return r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * c
+        end = lo if want_min else hi
+        return _GapExtreme(abs(math.remainder(end, TWO_PI)), lo if lo_ok else hi, lo_ok or hi_ok)
+    if (v_lo > v_hi) == want_min:
+        return _GapExtreme(abs(math.remainder(lo, TWO_PI)), lo, lo_ok)
+    return _GapExtreme(abs(math.remainder(hi, TWO_PI)), hi, hi_ok)
 
 
 def _sector_key(s: AnnularSector):
@@ -260,25 +256,19 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _Pa
     else:
         lo_ok = arc1.start_closed and arc2.end_closed
         hi_ok = arc1.end_closed and arc2.start_closed
-    cos_max = _cos_extreme(lo, hi, lo_ok, hi_ok, 0.0, want_max=True, tolerance=tolerance)
-    cos_min = _cos_extreme(lo, hi, lo_ok, hi_ok, math.pi, want_max=False, tolerance=tolerance)
+    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
+    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
 
     a = s1.annulus.inner_radius
     b = s1.annulus.outer_radius
-    c = cos_min.value
-    d_max_sq = max(_dist_sq(a, a, c), _dist_sq(a, b, c), _dist_sq(b, b, c))
-    c = cos_max.value
-    d_min_sq = _dist_sq(a, a, c)
-    if c > 0.0 and c * b >= a:
-        d_min_sq = min(d_min_sq, _dist_sq(c * b, b, c))
-
+    s = math.sin(0.5 * gap_max.gap)
     interval = DistanceInterval(
-        min=math.sqrt(max(0.0, d_min_sq)),
-        max=math.sqrt(max(0.0, d_max_sq)),
-        min_attained_interior=cos_max.attained,
-        max_attained_interior=cos_min.attained,
+        min=2.0 * a * math.sin(0.5 * gap_min.gap),
+        max=max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s)),
+        min_attained_interior=gap_min.attained,
+        max_attained_interior=gap_max.attained,
     )
-    return _PairAnalysis(interval, arc1, arc2, lo, hi, cos_max, cos_min, swapped)
+    return _PairAnalysis(interval, arc1, arc2, lo, hi, gap_min, gap_max, swapped)
 
 
 def sector_distance_interval(
@@ -318,7 +308,8 @@ def _unit_chord_witness(analysis: _PairAnalysis, outer: float) -> tuple[Point, P
     within the tolerance).
     """
     lo, hi = analysis.lo, analysis.hi
-    theta = unit_chord_angle(outer)
+    # 1/2 + r rounds to 1/2 for r <= 2**-54; the diameter is then the only unit chord.
+    theta = math.pi if outer == 0.5 else unit_chord_angle(outer)
     turns = range(math.floor(lo / TWO_PI) - 1, math.ceil(hi / TWO_PI) + 1)
     start, end = max(
         ((max(lo, k * TWO_PI + theta), min(hi, (k + 1) * TWO_PI - theta)) for k in turns),
@@ -327,7 +318,7 @@ def _unit_chord_witness(analysis: _PairAnalysis, outer: float) -> tuple[Point, P
     if end > start:
         delta = min(max(0.5 * (lo + hi), start), end)
     else:
-        delta = (analysis.cos_min if analysis.cos_min.attained else analysis.cos_max).delta
+        delta = (analysis.gap_max if analysis.gap_max.attained else analysis.gap_min).delta
     phi1, phi2 = _pair_for_delta(analysis.arc1, analysis.arc2, delta)
     half_chord = abs(math.sin(0.5 * (phi1 - phi2)))  # per unit radius
     rho = outer if 2.0 * outer * half_chord <= 1.0 else 0.5 / half_chord

@@ -376,7 +376,8 @@ def reference_verify_radial_coloring(
 
 # Reference pair analysis: the candidate search over the radius box that the
 # closed forms in geometry replaced, reading the difference arc in each step,
-# kept unchanged so tests can require equal intervals, verdicts and witnesses.
+# kept unchanged so tests can require equal verdicts, witnesses and flags, and
+# intervals within this search's cancellation error near cos = 1.
 
 
 @dataclass(frozen=True)

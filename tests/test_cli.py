@@ -412,3 +412,18 @@ class TestEntry:
             assert proc.stdout.splitlines()[0] == ("proper" if expected == 0 else "improper")
         else:
             assert "error:" in proc.stderr
+
+    def test_verify_where_the_outer_radius_rounds_to_half(self, tmp_path):
+        # 1/2 + r == 1/2: the two rays hold a diameter, the only unit chord.
+        path = tmp_path / "rays.json"
+        path.write_text(json.dumps({"r": 1e-17, "boundaries": [0.0, math.pi],
+                                    "sector_colors": [0, 0], "boundary_colors": [0, 0]}))
+        src = Path(annulus_chroma.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = f"import sys; from annulus_chroma import cli; sys.argv = {['annulus-chroma', 'verify', str(path)]!r}; cli.entry()"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "improper"
+        assert lines[-1].startswith("witness=")

@@ -58,6 +58,12 @@ class TestRod:
             assert emb.margin == pytest.approx(r / 2.0, abs=1e-12)
             assert emb.margin > 0
 
+    @pytest.mark.parametrize("r", [1e-17, 2.0 ** -54])
+    def test_margin_is_zero_where_the_outer_radius_rounds_to_half(self, r):
+        emb = embed_rod(r)
+        assert emb.margin == 0.0
+        assert math.dist(*emb.vertices) == 1.0
+
     def test_endpoints_at_radius_rho(self):
         emb = embed_rod(0.3)
         for v in emb.vertices:

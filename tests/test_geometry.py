@@ -195,6 +195,25 @@ class TestSectorDistanceInterval:
         assert di.max == pytest.approx(1.0, abs=1e-12)
         assert not di.max_attained_interior
 
+    @pytest.mark.parametrize("r", [0.1, 0.3])
+    def test_min_accurate_for_small_gaps(self, r):
+        # Two sectors a gap g apart are nearest at radius a across the gap;
+        # the minimum keeps its relative accuracy however small g is.
+        a = Annulus(r)
+        s1 = AnnularSector.of(a, 0.0, 1.0)
+        for k in range(41):
+            gap = 10.0 ** (-9.0 + 0.1 * k)
+            s2 = AnnularSector.of(a, 1.0 + gap, 1.0)
+            rho, phi = a.inner_radius, s2.arc.start
+            exact = math.dist((rho * math.cos(1.0), rho * math.sin(1.0)), (rho * math.cos(phi), rho * math.sin(phi)))
+            assert sector_distance_interval(s1, s2).min == pytest.approx(exact, rel=1e-6), gap
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-7, 1e-5])
+    def test_thin_annulus_segment_max_is_its_length(self, r):
+        a = Annulus(r)
+        s = AnnularSector.radial_segment(a, 1.0)
+        assert sector_distance_interval(s, s).max == a.outer_radius - a.inner_radius
+
     def test_mismatched_annuli(self):
         s1 = AnnularSector.of(Annulus(0.1), 0.0, 1.0)
         s2 = AnnularSector.of(Annulus(0.2), 0.0, 1.0)
@@ -262,6 +281,19 @@ class TestContainsUnitPair:
         assert found
         p, q = witness
         assert abs(math.dist(p, q) - 1.0) <= 1e-9
+        assert s1.contains(p) and s2.contains(q)
+
+    @pytest.mark.parametrize("r", [1e-17, 2.0 ** -54, 5e-324])
+    def test_antipodal_segments_where_the_outer_radius_rounds_to_half(self, r):
+        # 1/2 + r == 1/2: the diameter is the only unit chord.
+        a = Annulus(r)
+        assert a.outer_radius == 0.5
+        s1 = AnnularSector.radial_segment(a, 0.0)
+        s2 = AnnularSector.radial_segment(a, math.pi)
+        found, witness = contains_unit_pair(s1, s2)
+        assert found
+        p, q = witness
+        assert math.dist(p, q) == 1.0
         assert s1.contains(p) and s2.contains(q)
 
     def test_perpendicular_segments_false(self):
@@ -418,14 +450,20 @@ class TestContainsUnitPair:
 
 class TestReferencePairAnalysis:
     def test_same_results_as_the_radius_box_search(self):
-        # The closed-form radius box must report what the corner and edge
-        # candidate search reported, to the last bit, verdicts and witnesses
-        # included.
+        # The chord forms must report what the corner and edge candidate
+        # search reported: verdicts, witnesses and attainment flags to the
+        # last bit.  The extremes agree within 1e-7, the reference's own
+        # cancellation error in a^2 + b^2 - 2*a*b*cos near cos = 1.
         rng = random.Random(2013)
         positives = 0
         for _ in range(20_000):
             s1, s2, tol = random_sector_pair(rng)
-            assert sector_distance_interval(s1, s2, tol) == reference_sector_distance_interval(s1, s2, tol), (s1, s2, tol)
+            got = sector_distance_interval(s1, s2, tol)
+            ref = reference_sector_distance_interval(s1, s2, tol)
+            assert (got.min_attained_interior, got.max_attained_interior) == (
+                ref.min_attained_interior, ref.max_attained_interior), (s1, s2, tol)
+            assert got.min == pytest.approx(ref.min, abs=1e-7), (s1, s2, tol)
+            assert got.max == pytest.approx(ref.max, abs=1e-7), (s1, s2, tol)
             verdict = contains_unit_pair(s1, s2, tol)
             assert verdict == reference_contains_unit_pair(s1, s2, tol), (s1, s2, tol)
             positives += verdict[0]
