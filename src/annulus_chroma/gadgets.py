@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Annulus, Point, TWO_PI, unit_chord_angle
+from .radial import thresholds
 from .udg import UnitDistanceGraph
 
-# Half-width above which the gadget fits strictly inside the annulus.
-TRI_ROD_THRESHOLD = (2.0 - math.sqrt(3.0)) / (2.0 * math.sqrt(3.0))
+# Half-width above which the gadget fits strictly inside the annulus: T3.
+TRI_ROD_THRESHOLD = thresholds()[0].max_r
 SPINDLE_THRESHOLD = 3.0 / math.sqrt(11.0) - 0.5
 
 EDGE_TOLERANCE = 1e-9

@@ -140,11 +140,12 @@ class DistanceInterval:
 def unit_chord_angle(outer_radius: float) -> float:
     """Central angle subtended by a chord of length 1 on a circle of the given radius.
 
-    Equals 2*asin(1/(2*R)); defined only for R > 1/2, where the unit chord
-    exists.  Strictly decreasing in the radius.
+    Equals 2*asin(1/(2*R)); defined for R >= 1/2, where the unit chord
+    exists, and pi at R = 1/2, where it is a diameter.  Strictly decreasing
+    in the radius.
     """
-    if outer_radius <= 0.5:
-        raise ValueError(f"outer radius must exceed 1/2 for a unit chord to exist, got {outer_radius}")
+    if outer_radius < 0.5:
+        raise ValueError(f"outer radius must be at least 1/2 for a unit chord to exist, got {outer_radius}")
     return 2.0 * math.asin(1.0 / (2.0 * outer_radius))
 
 
@@ -308,8 +309,7 @@ def _unit_chord_witness(analysis: _PairAnalysis, outer: float) -> tuple[Point, P
     within the tolerance).
     """
     lo, hi = analysis.lo, analysis.hi
-    # 1/2 + r rounds to 1/2 for r <= 2**-54; the diameter is then the only unit chord.
-    theta = math.pi if outer == 0.5 else unit_chord_angle(outer)
+    theta = unit_chord_angle(outer)
     turns = range(math.floor(lo / TWO_PI) - 1, math.ceil(hi / TWO_PI) + 1)
     start, end = max(
         ((max(lo, k * TWO_PI + theta), min(hi, (k + 1) * TWO_PI - theta)) for k in turns),

@@ -25,14 +25,13 @@ from .geometry import (
     Annulus,
     Point,
     contains_unit_pair,
-    unit_chord_angle,
 )
 from .schema import SchemaError, require_ints, require_keys, require_number, require_numbers
 
 
 @dataclass(frozen=True)
 class Threshold:
-    """Largest half-width r for which ``colors`` colors suffice radially."""
+    """Band: ``colors`` colors suffice radially up to ``max_r``, but for the floats thresholds() names."""
 
     colors: int
     max_r: float
@@ -40,10 +39,12 @@ class Threshold:
 
 
 def thresholds() -> list[Threshold]:
-    """The exact band boundaries of the radial chromatic number.
+    """The band boundaries of the radial chromatic number, in closed form.
 
-    N colors suffice for r up to and including the N-th entry's max_r
-    (the final band is open at 1/2, which lies outside the domain).
+    N(r) is the colors of the first row with r <= max_r (the final band is
+    open at 1/2, outside the domain).  The floats of T3 and T5 lie above the
+    real thresholds, so the rows are one color short on the 3 and 2 floats
+    in between; T4's lies below, one color over on the 1 float between.
     """
     return [
         Threshold(3, (2.0 - math.sqrt(3.0)) / (2.0 * math.sqrt(3.0)), "(2 - sqrt(3)) / (2*sqrt(3))"),
@@ -56,17 +57,12 @@ def thresholds() -> list[Threshold]:
 def radial_chromatic_number(r: float) -> int:
     """Least number of colors in a proper radial coloring of the annulus.
 
-    Equals ceil(2*pi / theta) with theta the unit-chord angle at the outer
-    radius.  A ratio within 4 ulps of an integer is rounding error and is
-    snapped to it first, so the thresholds land in their closed band; any
-    larger excess means N sectors of width theta leave a gap and N + 1
-    colors are needed.
+    N equal sectors of width 2*pi/N are no wider than the unit-chord angle
+    theta exactly when r <= T_N, so N(r) is the colors of the first row of
+    thresholds() with r <= max_r, for every r that Annulus accepts.
     """
-    ratio = TWO_PI / unit_chord_angle(Annulus(r).outer_radius)
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= 4.0 * math.ulp(nearest):
-        return int(nearest)
-    return math.ceil(ratio)
+    Annulus(r)
+    return next(t.colors for t in thresholds() if r <= t.max_r)
 
 
 @dataclass(frozen=True)
@@ -143,14 +139,14 @@ class VerificationResult:
 def construct_radial_coloring(r: float) -> RadialColoring:
     """Proper radial coloring with exactly radial_chromatic_number(r) colors.
 
-    N - 1 sectors of width exactly theta take colors 0..N-2 and the leftover
-    sector takes color N-1; the ray at angle k*theta takes the color of the
-    sector ending there (the clockwise neighbor), so each ray merges with a
-    sector of its own color.
+    N equal sectors, cut at k*2*pi/N, take colors 0..N-1; the ray at the
+    start of sector k takes the color of sector k - 1 (the clockwise
+    neighbor), so each color is one arc of width 2*pi/N, no wider than
+    theta exactly when r <= T_N.  Rounded, the arcs pass theta only on 10
+    floats at most 6 below T3, T4 or T5.
     """
     n_colors = radial_chromatic_number(r)
-    theta = unit_chord_angle(0.5 + r)
-    boundaries = tuple(k * theta for k in range(n_colors))
+    boundaries = tuple(k * TWO_PI / n_colors for k in range(n_colors))
     sector_colors = tuple(range(n_colors))
     boundary_colors = (n_colors - 1,) + tuple(range(n_colors - 1))
     return RadialColoring(Annulus(r), boundaries, sector_colors, boundary_colors)

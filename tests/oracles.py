@@ -3,7 +3,9 @@
 The distance oracles avoid the library's analytic machinery and work from
 dense grids; the chromatic oracle is a plain backtracking enumeration in
 natural vertex order.  The reference sections keep algorithms the library
-has replaced, unchanged, so tests can require equal results.
+has replaced, unchanged, so tests can require equal results.  The exact
+section judges N(r) and the construction on the rational numbers that
+floats denote, in Fraction and 50-digit decimal arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -585,3 +589,63 @@ def random_sector_pair(rng: random.Random) -> tuple[AnnularSector, AnnularSector
     offset = rng.choice((None, 0.0, theta, math.pi, -theta))
     s2 = piece(rng.uniform(0.0, TWO_PI) if offset is None else anchor + offset + jitter)
     return s1, s2, tolerance
+
+
+# Exact radial answers.  A float is the rational number it denotes, and
+# N(r) <= k exactly when 2*pi/k <= theta, that is (1 + 2r)*sin(pi/k) <= 1,
+# where sin^2(pi/k) is 3/4, 1/2, (5 - sqrt(5))/8 and 1/4 for k = 3..6.  An
+# arc of directions of width w <= pi holds a unit pair exactly when
+# (1 + 2r)*sin(w/2) > 1, decided here in 50-digit decimal.
+
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_UNDECIDED = Decimal("1e-40")
+
+
+def exact_radial_chromatic_number(r: float) -> int:
+    """N(r) for the exact half-width r in (0, 1/2), by rational comparisons."""
+    x = (1 + 2 * Fraction(r)) ** 2  # (1 + 2r)^2
+    if x * Fraction(3, 4) <= 1:
+        return 3
+    if x / 2 <= 1:
+        return 4
+    # x*(5 - sqrt(5))/8 <= 1  <=>  5x - 8 <= x*sqrt(5), squared when both sides are positive
+    if 5 * x - 8 <= 0 or (5 * x - 8) ** 2 <= 5 * x * x:
+        return 5
+    return 6  # x/4 <= 1 for every r < 1/2
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    """sin(x) by its Taylor series, in the caller's decimal context."""
+    term = total = x
+    k = 1
+    while abs(term) > Decimal("1e-55"):
+        term = -term * x * x / ((2 * k) * (2 * k + 1))
+        total += term
+        k += 1
+    return total
+
+
+def construction_exactly_proper(coloring: RadialColoring) -> bool:
+    """Whether no color class c, the arc (b_c, b_{c+1}], holds a unit pair exactly.
+
+    The coloring must give sector c color c and ray c + 1 the same color, as
+    the construction does, so each class is one such arc; the last wraps
+    round past 2*pi, taken from a 60-digit pi.  Raises ArithmeticError if a
+    class lies within 1e-40 of holding a unit pair, where 50 digits cannot
+    settle it.
+    """
+    n, bs = coloring.n, coloring.boundaries
+    if coloring.sector_colors != tuple(range(n)) or coloring.boundary_colors != tuple((c - 1) % n for c in range(n)):
+        raise ValueError("each color class must be sector c with ray c + 1")
+    proper = True
+    with localcontext() as ctx:
+        ctx.prec = 50  # each operation below is exact, then rounded to 50 digits
+        scale = 1 + 2 * Decimal(coloring.annulus.r)
+        ends = [Decimal(b) for b in bs] + [2 * _PI_60 + Decimal(bs[0])]
+        for c in range(n):
+            width = ends[c + 1] - ends[c]
+            excess = scale * _decimal_sin(width / 2) - 1
+            if abs(excess) <= _UNDECIDED:
+                raise ArithmeticError(f"class {c} at r = {coloring.annulus.r!r} is undecided at 50 digits")
+            proper = proper and width < _PI_60 and excess < 0
+    return proper

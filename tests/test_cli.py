@@ -43,6 +43,11 @@ class TestChiRadial:
                 payload = json.loads(out)
                 assert payload["band"]["colors"] == payload["N"], r
 
+    def test_outer_radius_rounding_to_half(self, capsys):
+        code, out, err = run(capsys, "chi-radial", "--r", "1e-17")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["N=3", f"theta={math.pi!r}"]
+
     def test_out_of_domain(self, capsys):
         code, _, err = run(capsys, "chi-radial", "--r", "0.6")
         assert code == 2
@@ -103,6 +108,14 @@ class TestConstructAndVerify:
         assert payload["proper"] is False
         p, q = payload["witness"]
         assert math.dist(p, q) == pytest.approx(1.0, abs=1e-9)
+
+    def test_construct_verify_where_the_outer_radius_rounds_to_half(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        code, _, err = run(capsys, "construct", "--r", "1e-17", "--out", str(path))
+        assert (code, err) == (0, "")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "proper"
 
     def test_verify_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -147,6 +147,9 @@ class TestUnitChordAngle:
 
     @pytest.mark.parametrize("radius", [0.5, 0.4, 0.0, -1.0])
     def test_domain(self, radius):
+        if radius == 0.5:  # the edge of the domain: the unit chord is a diameter
+            assert unit_chord_angle(radius) == math.pi
+            return
         with pytest.raises(ValueError):
             unit_chord_angle(radius)
 

@@ -21,6 +21,8 @@ from annulus_chroma.radial import (
 )
 from annulus_chroma.schema import SchemaError
 from oracles import (
+    construction_exactly_proper,
+    exact_radial_chromatic_number,
     random_proper_radial_coloring,
     random_radial_coloring,
     reference_verify_radial_coloring,
@@ -65,7 +67,8 @@ def _identity_suite():
                            (rng.randrange(2),), (rng.randrange(2),))
         cases += [(c, tol) for tol in tolerances]
     # the construction at each band threshold +- a few ulps, and the same cut
-    # on an annulus a few ulps wider, where its sectors span exactly theta
+    # on an annulus a few ulps wider, where its equal sectors are within an
+    # ulp or two of theta
     for t in [t.max_r for t in thresholds()[:-1]] + [0.5]:
         for steps in range(-4, 5):
             r = _ulp_steps(t, steps)
@@ -97,6 +100,11 @@ class TestRadialChromaticNumber:
         with pytest.raises(ValueError):
             radial_chromatic_number(r)
 
+    @pytest.mark.parametrize("r", [1e-17, 2.0 ** -54, 5e-324])
+    def test_outer_radius_rounding_to_half(self, r):
+        # 1/2 + r == 1/2 here, and the 3 sectors of 2*pi/3 still fit.
+        assert radial_chromatic_number(r) == 3
+
     def test_nondecreasing_and_in_range(self):
         previous = 3
         for i in range(10_000):
@@ -115,8 +123,8 @@ class TestRadialChromaticNumber:
             assert radial_chromatic_number(t.max_r + 1e-6) == t.colors + 1
 
     def test_construction_proper_around_thresholds(self):
-        # N(r) snaps only rounding error to the smaller count, so the N-sector
-        # construction holds at every tolerance just above a threshold too.
+        # Around a threshold the N equal sectors are within rounding error of
+        # theta, so the construction must verify at every tolerance there.
         # Each threshold, the 300 floats on either side and T +- 10**-k.
         rng = random.Random(17)
         rs = [rng.uniform(1e-6, 0.5 - 1e-6) for _ in range(300)]
@@ -178,11 +186,14 @@ class TestConstruct:
 
     def test_example_r_01(self):
         c = construct_radial_coloring(0.1)
-        theta = unit_chord_angle(0.6)
         assert c.n == 4
-        assert list(c.boundaries) == pytest.approx([0.0, theta, 2 * theta, 3 * theta])
-        assert c.sector_width(3) == pytest.approx(TWO_PI - 3 * theta, abs=1e-12)
-        assert c.sector_width(3) == pytest.approx(0.37252, abs=1e-4)
+        assert list(c.boundaries) == [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
+        assert verify_radial_coloring(c).proper
+
+    @pytest.mark.parametrize("r", [1e-17, 2.0 ** -54, 5e-324])
+    def test_outer_radius_rounding_to_half(self, r):
+        c = construct_radial_coloring(r)
+        assert c.n == 3
         assert verify_radial_coloring(c).proper
 
     def test_boundary_takes_clockwise_sector_color(self):
@@ -208,6 +219,41 @@ class TestConstruct:
             theta = unit_chord_angle(0.5 + r)
             leftover = c.sector_width(c.n - 1)
             assert 0.0 < leftover <= theta + 1e-9
+
+
+class TestExactness:
+    """N(r) and the construction judged on the exact rationals floats denote (oracles.py)."""
+
+    def test_random_half_widths(self):
+        rng = random.Random(2013)
+        rs = [rng.uniform(0.0, 0.5) for _ in range(2000)]
+        rs += [10.0 ** rng.uniform(-17.0, math.log10(0.5)) for _ in range(300)]
+        assert min(rs) < 1e-16
+        for r in rs:
+            assert radial_chromatic_number(r) == exact_radial_chromatic_number(r), r
+            assert construction_exactly_proper(construct_radial_coloring(r)), r
+
+    def test_floats_around_thresholds(self):
+        # N may be off only between a real threshold and its table float;
+        # where N is exact the construction may be improper only within 6
+        # floats below a real threshold, where the slack is under rounding.
+        excused = 0
+        for row, off_by_one in zip(thresholds()[:3], (3, 1, 2)):
+            rs = [_ulp_steps(row.max_r, k) for k in range(-40, 41)]
+            exact = [exact_radial_chromatic_number(r) for r in rs]
+            first_above = exact.index(row.colors + 1)  # the first float past the real threshold
+            assert exact == [row.colors] * first_above + [row.colors + 1] * (len(rs) - first_above)
+            between = {r for r in rs if (r <= row.max_r) != (r < rs[first_above])}
+            assert len(between) == off_by_one
+            for k, (r, n) in enumerate(zip(rs, exact)):
+                if r in between:
+                    assert radial_chromatic_number(r) == n + (1 if r > row.max_r else -1), r
+                    continue
+                assert radial_chromatic_number(r) == n, r
+                if not construction_exactly_proper(construct_radial_coloring(r)):
+                    assert first_above - 6 <= k < first_above, r
+                    excused += 1
+        assert excused <= 10
 
 
 class TestVerify:
