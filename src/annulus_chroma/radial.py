@@ -65,6 +65,20 @@ def radial_chromatic_number(r: float) -> int:
     return next(t.colors for t in thresholds() if r <= t.max_r)
 
 
+def _color_ints(colors, name: str) -> tuple[int, ...]:
+    """The colors as ints, refusing any that is not an integer.
+
+    int() would truncate 1.5 into another color class and parse "1".
+    """
+    try:
+        return tuple(map(operator.index, colors))
+    except TypeError:
+        for i, c in enumerate(colors):
+            if not hasattr(c, "__index__"):
+                raise ValueError(f"{name} color {i} must be a nonnegative integer, got {c!r}") from None
+        raise
+
+
 @dataclass(frozen=True)
 class RadialColoring:
     """A coloring given by boundary rays, per-sector colors, and per-ray colors.
@@ -81,8 +95,8 @@ class RadialColoring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundaries", tuple(map(float, self.boundaries)))
-        object.__setattr__(self, "sector_colors", tuple(map(int, self.sector_colors)))
-        object.__setattr__(self, "boundary_colors", tuple(map(int, self.boundary_colors)))
+        object.__setattr__(self, "sector_colors", _color_ints(self.sector_colors, "sector"))
+        object.__setattr__(self, "boundary_colors", _color_ints(self.boundary_colors, "boundary"))
         n = len(self.boundaries)
         if n < 1:
             raise ValueError("a radial coloring needs at least one boundary ray")

@@ -5,9 +5,13 @@ turns a point set into a graph by connecting pairs at distance 1 (within a
 tolerance).  Chromatic numbers come from branch-and-bound with a greedy
 clique lower bound, DSATUR-style saturation ordering (Brelaz 1979), and
 color-symmetry breaking, so small instances solve exactly and
-deterministically.  Vertex sets are Python ints used as bitsets (in the
-style of San Segundo et al. 2012): the search keeps the uncolored vertices
-as one int and visits only the uncolored neighbours of each painted vertex.
+deterministically.  One DSATUR routine does both jobs: the greedy coloring
+that bounds the search from above is the search's own first descent.
+Vertex sets are Python ints used as bitsets (in the style of San Segundo
+et al. 2012): the uncolored vertices are one int, and each color c keeps
+the int of uncolored vertices with a neighbour of color c, so painting a
+vertex visits only its uncolored neighbours that color c did not already
+reach.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class UnitDistanceGraph:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
@@ -121,8 +127,13 @@ def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
 
 
 def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
-    """Proper coloring by repeatedly coloring the most saturated uncolored vertex."""
-    return _greedy_coloring(graph.adjacency_masks())
+    """Proper coloring by repeatedly coloring the most saturated uncolored vertex.
+
+    This is the exact search's first descent, which recurses once per
+    vertex: past about 990 vertices it exceeds Python's default recursion
+    limit.
+    """
+    return tuple(_color_with_limit(graph.adjacency_masks(), graph.n, []))
 
 
 def _greedy_clique(masks: list[int]) -> list[int]:
@@ -153,59 +164,34 @@ def _most_saturated(free: int, rank: list[int]) -> int:
     return v
 
 
-def _greedy_coloring(masks: list[int]) -> ColoringAssignment:
-    n = len(masks)
-    colors = [-1] * n
-    sat = [0] * n  # bitmask of colors adjacent to each vertex
-    rank = [m.bit_count() for m in masks]  # see _most_saturated
-    free = (1 << n) - 1
-    while free:
-        v = _most_saturated(free, rank)
-        free ^= 1 << v
-        c = (~sat[v] & (sat[v] + 1)).bit_length() - 1
-        colors[v] = c
-        bit = 1 << c
-        rest = masks[v] & free
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            if not sat[u] & bit:
-                sat[u] |= bit
-                rank[u] += n
-            rest ^= low
-    return tuple(colors)
-
-
 def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | None:
     """Proper coloring with at most k colors, or None.
 
     Backtracking with saturation-degree vertex selection; the seed clique is
     pre-colored 0, 1, 2, ... and elsewhere new colors are only introduced in
     order, which breaks color-permutation symmetry without losing
-    completeness.
+    completeness.  Colors are tried lowest first, and with k = n a vertex
+    can always take a color no vertex has yet, so with k = n and no seed
+    the first descent never backtracks: it is the greedy coloring.
 
-    The uncolored vertices are one int bitset, and painting a vertex updates
-    the saturation of its uncolored neighbours only: colored vertices are
-    uncolored again in reverse order, so their saturation is never read
-    stale.
+    near[c] is the bitset of uncolored vertices with a neighbour of color
+    c.  Painting v with c adds v's uncolored neighbours not yet in near[c]
+    and raises their ranks; unpainting removes that same set again.
+    Vertices are unpainted in reverse order, so the bits of an uncolored
+    vertex are never stale.
     """
     n = len(masks)
-    if len(seed) > k:
-        return None
     colors = [-1] * n
-    sat = [0] * n  # bitmask of colors adjacent to each vertex
+    near = [0] * k
     rank = [m.bit_count() for m in masks]  # see _most_saturated
     free = (1 << n) - 1
     for c, v in enumerate(seed):
         colors[v] = c
         free ^= 1 << v
-        bit = 1 << c
-        rest = masks[v] & free
+        near[c] = rest = masks[v] & free
         while rest:
             low = rest & -rest
-            u = low.bit_length() - 1
-            sat[u] |= bit
-            rank[u] += n
+            rank[low.bit_length() - 1] += n
             rest ^= low
     limit = k * n
 
@@ -215,29 +201,27 @@ def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | 
         v = _most_saturated(free, rank)
         if rank[v] >= limit:
             return False
-        free ^= 1 << v
-        taken = sat[v]
+        bit = 1 << v
+        free ^= bit
         neighbours = masks[v] & free
         for c in range(min(max_used + 1, k - 1) + 1):
-            bit = 1 << c
-            if taken & bit:
+            if near[c] & bit:
                 continue
             colors[v] = c
-            touched = []
-            rest = neighbours
+            new = neighbours & ~near[c]
+            near[c] |= new
+            rest = new
             while rest:
                 low = rest & -rest
-                u = low.bit_length() - 1
-                if not sat[u] & bit:
-                    sat[u] |= bit
-                    rank[u] += n
-                    touched.append(u)
+                rank[low.bit_length() - 1] += n
                 rest ^= low
             if extend(free, c if c > max_used else max_used):
                 return True
-            for u in touched:
-                sat[u] ^= bit
-                rank[u] -= n
+            near[c] ^= new
+            while new:
+                low = new & -new
+                rank[low.bit_length() - 1] -= n
+                new ^= low
         return False
 
     if extend(free, len(seed) - 1):
@@ -256,7 +240,7 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
         raise ValueError(f"graph has {graph.n} vertices; the exact solver is capped at {MAX_VERTICES}")
     masks = graph.adjacency_masks()
     clique = _greedy_clique(masks)
-    upper = _greedy_coloring(masks)
+    upper = tuple(_color_with_limit(masks, graph.n, []))
     upper_k = max(upper) + 1
     for k in range(len(clique), upper_k):
         witness = _color_with_limit(masks, k, clique)

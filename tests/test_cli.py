@@ -74,6 +74,17 @@ class TestTable:
         for row, expected in zip(rows, thresholds()):
             assert abs(row["max_r"] - expected.max_r) <= 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ("table",),
+        ("construct", "--r", "0.2", "--format", "svg"),
+    ], ids=["table", "construct-svg"])
+    def test_out_in_a_missing_directory(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert not path.parent.exists()
+
 
 class TestConstructAndVerify:
     def test_construct_json_verifies(self, capsys, tmp_path):
@@ -246,6 +257,12 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", "--gadget", "rod", "--r", "0.25", "--format", "svg")
         assert code == 0
         ET.fromstring(out)
+
+    @pytest.mark.parametrize("r", ["0.7", "nan"])
+    def test_out_of_domain(self, capsys, r):
+        code, out, err = run(capsys, "embed", "--gadget", "rod", "--r", r)
+        assert (code, out) == (2, "")
+        assert err == f"error: annulus half-width must lie strictly in (0, 1/2), got {float(r)}\n"
 
 
 class TestSolve:

@@ -395,6 +395,14 @@ class TestStructure:
         with pytest.raises(ValueError):
             RadialColoring(Annulus(0.1), (0.0, 1.0), (0,), (0, 1))
 
+    def test_boundary_color_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="expected 2 boundary colors, got 3"):
+            RadialColoring(Annulus(0.1), (0.0, 1.0), (0, 1), (0, 1, 2))
+
+    def test_no_boundary_rejected(self):
+        with pytest.raises(ValueError, match="at least one boundary ray"):
+            RadialColoring(Annulus(0.1), (), (), ())
+
     def test_out_of_range_boundary_rejected(self):
         with pytest.raises(ValueError):
             RadialColoring(Annulus(0.1), (0.0, TWO_PI), (0, 1), (0, 1))
@@ -402,6 +410,22 @@ class TestStructure:
     def test_negative_color_rejected(self):
         with pytest.raises(ValueError):
             RadialColoring(Annulus(0.1), (0.0, 1.0), (0, -1), (0, 1))
+
+    @pytest.mark.parametrize("sectors, rays, message", [
+        ((0, 1.5), (0, 1), "sector color 1 must be a nonnegative integer, got 1.5"),
+        ((0, 1), (1.0, 0), "boundary color 0 must be a nonnegative integer, got 1.0"),
+        ((0, "1"), (0, 1), "sector color 1 must be a nonnegative integer, got '1'"),
+    ], ids=["float", "integral-float", "string"])
+    def test_non_integer_color_rejected(self, sectors, rays, message):
+        # int() would store 1.5 as color 1, merging two color classes.
+        with pytest.raises(ValueError) as exc:
+            RadialColoring(Annulus(0.2), (0.0, 1.0), sectors, rays)
+        assert str(exc.value) == message
+
+    def test_integer_like_colors_stored_as_ints(self):
+        c = RadialColoring(Annulus(0.2), (0.0, 1.0), np.array([0, 1]), (1, 0))
+        assert c.sector_colors == (0, 1) and c.boundary_colors == (1, 0)
+        assert all(type(x) is int for x in c.sector_colors + c.boundary_colors)
 
     @given(r=st.floats(0.001, 0.499))
     @settings(max_examples=40, deadline=None)

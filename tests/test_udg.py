@@ -94,6 +94,12 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             graph_from_edges(0, [])
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
+    def test_non_integer_vertex_count_rejected(self, n):
+        # A float count would build and then fail inside the solver.
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            graph_from_edges(n, [(0, 1)])
+
     def test_edge_length_validated_when_points_given(self):
         with pytest.raises(ValueError):
             UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (0.5, 0.0)), 1e-9)
