@@ -27,7 +27,7 @@ from .radial import (
 )
 from .schema import SchemaError, require_tolerance
 from .svg import render_embedding, render_radial_coloring
-from .udg import chromatic_number_exact, graph_from_json
+from .udg import _check_solver_size, _read_graph_json, chromatic_number_exact
 from . import __version__
 
 TOLERANCE_ENV = "ANNULUS_CHROMA_TOLERANCE"
@@ -218,11 +218,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    graph = graph_from_json(_load_json(args.path))
+    n, build = _read_graph_json(_load_json(args.path))
     try:
-        chi, assignment = chromatic_number_exact(graph)
-    except ValueError as exc:  # more vertices than the exact solver takes
+        _check_solver_size(n)  # before building: build_udg is quadratic in the points
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    chi, assignment = chromatic_number_exact(build())
     if args.format == "json":
         _emit(args, json.dumps({"chi": chi, "assignment": list(assignment)}, indent=2))
     else:

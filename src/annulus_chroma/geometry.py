@@ -226,12 +226,15 @@ def _gap_extreme(
 
     # Target unreachable: the extreme is at the arc endpoint of greater
     # (min) or lesser (max) cosine, the two counted equal within 1e-12.
+    # In a tie the value is the nearer (min) or farther (max) end's circular
+    # distance, which the cosines cannot tell apart near 0 and pi; the delta
+    # and the attained flag stay those of the tie, which verdicts rest on.
     want_min = target == 0.0
     v_lo = math.cos(abs(lo))
     v_hi = math.cos(abs(hi))
     if abs(v_lo - v_hi) <= 1e-12:
-        end = lo if want_min else hi
-        return _GapExtreme(abs(math.remainder(end, TWO_PI)), lo if lo_ok else hi, lo_ok or hi_ok)
+        ends = (abs(math.remainder(lo, TWO_PI)), abs(math.remainder(hi, TWO_PI)))
+        return _GapExtreme(min(ends) if want_min else max(ends), lo if lo_ok else hi, lo_ok or hi_ok)
     if (v_lo > v_hi) == want_min:
         return _GapExtreme(abs(math.remainder(lo, TWO_PI)), lo, lo_ok)
     return _GapExtreme(abs(math.remainder(hi, TWO_PI)), hi, hi_ok)

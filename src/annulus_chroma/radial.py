@@ -226,6 +226,7 @@ def coloring_from_json(data: dict) -> RadialColoring:
     sector_colors = require_ints(data["sector_colors"], "coloring.sector_colors")
     boundary_colors = require_ints(data["boundary_colors"], "coloring.boundary_colors")
     try:
-        return RadialColoring(Annulus(r), tuple(boundaries), tuple(sector_colors), tuple(boundary_colors))
+        # The constructor's float and index conversions make the stored tuples.
+        return RadialColoring(Annulus(r), boundaries, sector_colors, boundary_colors)
     except ValueError as exc:
         raise SchemaError(f"coloring: {exc}") from exc

@@ -1,12 +1,16 @@
 """Strict JSON schema helpers shared by the serializable types.
 
 Validation errors carry the position of the offending value (dotted path
-with list indices) so malformed documents are diagnosable.
+with list indices) so malformed documents are diagnosable.  A list helper
+checks the whole list in one bulk pass over exact types; only a list that
+pass does not accept is checked element by element, and that check decides,
+so an error names the first bad element's position.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable
 
 # Widest geometric tolerance accepted from outside the program: beyond it a
@@ -45,11 +49,15 @@ def require_int(value, where: str) -> int:
 
 
 def require_numbers(value, where: str) -> list[float]:
-    """A list of finite numbers, as floats; errors name the first bad element like require_number."""
+    """A list of finite numbers, as floats; errors name the first bad element like require_number.
+
+    A list of finite floats is returned itself, not copied.
+    """
     values = require_list(value, where)
-    if all(type(v) is float for v in values) and all(map(math.isfinite, values)):
-        return list(values)
-    if all(type(v) is int for v in values):
+    types = set(map(type, values))
+    if types <= {float} and all(map(math.isfinite, values)):
+        return values
+    if types == {int}:
         try:
             return list(map(float, values))
         except OverflowError:
@@ -58,11 +66,27 @@ def require_numbers(value, where: str) -> list[float]:
 
 
 def require_ints(value, where: str) -> list[int]:
-    """A list of integers; errors name the first bad element like require_int."""
+    """A list of integers; errors name the first bad element like require_int.
+
+    A list of ints is returned itself, not copied.
+    """
     values = require_list(value, where)
-    if all(type(v) is int for v in values):
-        return list(values)
+    if set(map(type, values)) <= {int}:
+        return values
     return [require_int(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def require_index_pairs(value, where: str) -> list:
+    """A list of [i, j] integer pairs; errors name the first bad element like require_index_pair.
+
+    A list of two-int lists is returned itself, not copied; otherwise the
+    pairs come back as tuples.
+    """
+    pairs = require_list(value, where)
+    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+        return pairs
+    return [require_index_pair(e, f"{where}[{i}]") for i, e in enumerate(pairs)]
 
 
 def require_list(value, where: str) -> list:

@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .geometry import DEFAULT_TOLERANCE, Point
 from .schema import (
     SchemaError,
-    require_index_pair,
+    require_index_pairs,
     require_int,
     require_keys,
     require_list,
@@ -35,8 +36,10 @@ MAX_VERTICES = 64
 
 # One shared tuple per vertex pair of a solver-sized graph: a graph holds a
 # pointer per edge instead of its own 2-tuple, which matters when many
-# graphs are alive at once.
+# graphs are alive at once.  _PAIR_TABLE[i][j] is the shared pair of i and j
+# in either order, and None when i == j.
 _PAIRS = {pair: pair for pair in itertools.combinations(range(MAX_VERTICES), 2)}
+_PAIR_TABLE = [[_PAIRS.get((i, j) if i < j else (j, i)) for j in range(MAX_VERTICES)] for i in range(MAX_VERTICES)]
 
 ColoringAssignment = tuple[int, ...]
 
@@ -63,20 +66,25 @@ class UnitDistanceGraph:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
-        canonical = []
-        seen = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            edge = (i, j) if i < j else (j, i)
-            edge = _PAIRS.get(edge, edge)
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
-            canonical.append(edge)
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
+        edges = _shared_edges(self.n, self.edges)
+        if edges is None:
+            # A bad edge, an index that is not an int or a graph past the
+            # solver's size: check edge by edge, which names the first bad one.
+            canonical = []
+            seen = set()
+            for i, j in self.edges:
+                if i == j:
+                    raise ValueError(f"self-loop at vertex {i}")
+                if not (0 <= i < self.n and 0 <= j < self.n):
+                    raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+                edge = (i, j) if i < j else (j, i)
+                edge = _PAIRS.get(edge, edge)
+                if edge in seen:
+                    raise ValueError(f"duplicate edge {edge}")
+                seen.add(edge)
+                canonical.append(edge)
+            edges = tuple(sorted(canonical))
+        object.__setattr__(self, "edges", edges)
         if self.points is not None:
             pts = tuple((float(x), float(y)) for x, y in self.points)
             object.__setattr__(self, "points", pts)
@@ -98,6 +106,28 @@ class UnitDistanceGraph:
         return masks
 
 
+def _shared_edges(n: int, edges) -> tuple[tuple[int, int], ...] | None:
+    """The sorted shared pairs of ``edges``, or None unless one bulk pass accepts them.
+
+    That pass accepts a solver-sized graph's list or tuple of two-int lists
+    or tuples, with every index in range(n), no self-loop and no edge twice
+    in either order: exactly the edges the per-edge checks accept with
+    these types, mapped to the same pairs.
+    """
+    if n > MAX_VERTICES or type(edges) not in (list, tuple):
+        return None
+    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
+        return None
+    flat = list(itertools.chain.from_iterable(edges))
+    if not (set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and max(flat, default=0) < n):
+        return None
+    pairs = [_PAIR_TABLE[i][j] for i, j in edges]
+    if None in pairs or len(set(pairs)) < len(pairs):
+        return None
+    pairs.sort()
+    return tuple(pairs)
+
+
 def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> UnitDistanceGraph:
     """Graph whose edges are exactly the point pairs at distance 1 within tolerance."""
     pts = [(float(x), float(y)) for x, y in points]
@@ -111,7 +141,11 @@ def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> Unit
 
 def graph_from_edges(n: int, edges) -> UnitDistanceGraph:
     """Abstract graph without coordinates (the solver is geometry-agnostic)."""
-    return UnitDistanceGraph(n, tuple(tuple(e) for e in edges))
+    # Lists and tuples of lists and tuples are read as they are, more than
+    # once; anything else is copied into tuples first.
+    if type(edges) not in (list, tuple) or not set(map(type, edges)) <= {list, tuple}:
+        edges = tuple(tuple(e) for e in edges)
+    return UnitDistanceGraph(n, edges)
 
 
 def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
@@ -229,6 +263,11 @@ def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | 
     return None
 
 
+def _check_solver_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph has {n} vertices; the exact solver is capped at {MAX_VERTICES}")
+
+
 def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssignment]:
     """Exact chromatic number with a proper witness using that many colors.
 
@@ -236,8 +275,7 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
     greedy coloring bounds the search from above, so the loop always
     terminates at the exact value.  Fully deterministic.
     """
-    if graph.n > MAX_VERTICES:
-        raise ValueError(f"graph has {graph.n} vertices; the exact solver is capped at {MAX_VERTICES}")
+    _check_solver_size(graph.n)
     masks = graph.adjacency_masks()
     clique = _greedy_clique(masks)
     upper = tuple(_color_with_limit(masks, graph.n, []))
@@ -250,7 +288,22 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
 
 
 def graph_from_json(data: dict) -> UnitDistanceGraph:
-    """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}."""
+    """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}.
+
+    The edge list is checked in one bulk pass, and edge by edge only when
+    that pass fails, so an error names the first bad element's position.
+    """
+    _, build = _read_graph_json(data)
+    return build()
+
+
+def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
+    """A graph document's vertex count, and a function that builds its graph.
+
+    The document's schema is checked first.  The count lets a caller refuse
+    a graph the solver cannot take before build_udg's pass over all pairs of
+    points; the graph's own checks run when it is built.
+    """
     if isinstance(data, dict) and "points" in data:
         require_keys(data, ("points",), "graph", optional=("tolerance",))
         pts = [
@@ -260,17 +313,15 @@ def graph_from_json(data: dict) -> UnitDistanceGraph:
         tolerance = require_tolerance(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
         if not pts:
             raise SchemaError("graph.points: must not be empty")
-        try:
-            return build_udg(pts, tolerance)
-        except ValueError as exc:
-            raise SchemaError(f"graph: {exc}") from exc
+        return len(pts), lambda: _schema_checked(build_udg, pts, tolerance)
     require_keys(data, ("n", "edges"), "graph")
     n = require_int(data["n"], "graph.n")
-    edges = [
-        require_index_pair(e, f"graph.edges[{i}]")
-        for i, e in enumerate(require_list(data["edges"], "graph.edges"))
-    ]
+    edges = require_index_pairs(data["edges"], "graph.edges")
+    return n, lambda: _schema_checked(graph_from_edges, n, edges)
+
+
+def _schema_checked(build, *args) -> UnitDistanceGraph:
     try:
-        return graph_from_edges(n, edges)
+        return build(*args)
     except ValueError as exc:
         raise SchemaError(f"graph: {exc}") from exc

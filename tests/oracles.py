@@ -28,7 +28,15 @@ from annulus_chroma.geometry import (
     unit_chord_angle,
 )
 from annulus_chroma.radial import RadialColoring, VerificationResult, construct_radial_coloring
-from annulus_chroma.udg import UnitDistanceGraph
+from annulus_chroma.schema import (
+    SchemaError,
+    require_index_pair,
+    require_int,
+    require_keys,
+    require_list,
+    require_number,
+)
+from annulus_chroma.udg import _PAIRS, UnitDistanceGraph
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,6 +230,94 @@ def mycielski(k: int, rng: random.Random | None = None) -> UnitDistanceGraph:
     if rng is not None:
         rng.shuffle(perm)
     return UnitDistanceGraph(n, tuple((perm[i], perm[j]) for i, j in edges))
+
+
+# Reference loaders: graph_from_json's abstract form and coloring_from_json
+# as they were before the bulk pass, checking element by element in
+# document order, with the constructors' checks written out in their order.
+# Tests require the loaders to accept the same documents, build equal
+# objects and raise the same error type and message.
+
+
+def load_outcome(load, data):
+    """What a loader makes of a document: the object, or the type and message of its SchemaError."""
+    try:
+        return load(data)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+
+
+def reference_graph_from_json(data) -> UnitDistanceGraph:
+    """The abstract {n, edges} form only."""
+    require_keys(data, ("n", "edges"), "graph")
+    n = require_int(data["n"], "graph.n")
+    edges = [
+        require_index_pair(e, f"graph.edges[{i}]")
+        for i, e in enumerate(require_list(data["edges"], "graph.edges"))
+    ]
+    try:
+        return _reference_graph_from_edges(n, edges)
+    except ValueError as exc:
+        raise SchemaError(f"graph: {exc}") from exc
+
+
+def _reference_graph_from_edges(n, edges) -> UnitDistanceGraph:
+    edges = tuple(tuple(e) for e in edges)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    canonical = []
+    seen = set()
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        edge = (i, j) if i < j else (j, i)
+        edge = _PAIRS.get(edge, edge)
+        if edge in seen:
+            raise ValueError(f"duplicate edge {edge}")
+        seen.add(edge)
+        canonical.append(edge)
+    return UnitDistanceGraph(n, tuple(sorted(canonical)))
+
+
+def reference_coloring_from_json(data) -> RadialColoring:
+    require_keys(data, ("r", "boundaries", "sector_colors", "boundary_colors"), "coloring")
+    r = require_number(data["r"], "coloring.r")
+    boundaries = [
+        require_number(b, f"coloring.boundaries[{i}]")
+        for i, b in enumerate(require_list(data["boundaries"], "coloring.boundaries"))
+    ]
+    sector_colors, boundary_colors = (
+        [require_int(c, f"coloring.{key}[{i}]") for i, c in enumerate(require_list(data[key], f"coloring.{key}"))]
+        for key in ("sector_colors", "boundary_colors")
+    )
+    try:
+        return _reference_radial_coloring(Annulus(r), boundaries, sector_colors, boundary_colors)
+    except ValueError as exc:
+        raise SchemaError(f"coloring: {exc}") from exc
+
+
+def _reference_radial_coloring(annulus, boundaries, sector_colors, boundary_colors) -> RadialColoring:
+    n = len(boundaries)
+    if n < 1:
+        raise ValueError("a radial coloring needs at least one boundary ray")
+    for i, b in enumerate(boundaries):
+        if not 0.0 <= b < TWO_PI:
+            raise ValueError(f"boundary angle {i} out of [0, 2*pi): {b}")
+        if i > 0 and b <= boundaries[i - 1]:
+            raise ValueError(f"boundary angles must be strictly increasing at index {i}")
+    if len(sector_colors) != n:
+        raise ValueError(f"expected {n} sector colors, got {len(sector_colors)}")
+    if len(boundary_colors) != n:
+        raise ValueError(f"expected {n} boundary colors, got {len(boundary_colors)}")
+    for name, colors in (("sector", sector_colors), ("boundary", boundary_colors)):
+        for i, c in enumerate(colors):
+            if c < 0:
+                raise ValueError(f"{name} color {i} must be a nonnegative integer, got {c}")
+    return RadialColoring(annulus, tuple(boundaries), tuple(sector_colors), tuple(boundary_colors))
 
 
 # Reference solver: the string-scanning DSATUR search the bitset solver in

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -287,7 +288,26 @@ class TestSolve:
         path.write_text(json.dumps({"n": 65, "edges": [[0, 1]]}))
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
-        assert "64" in err
+        assert err == "error: graph has 65 vertices; the exact solver is capped at 64\n"
+
+    def test_oversize_points_refused_before_the_graph_is_built(self, capsys, tmp_path):
+        # Building would check all 2 * 10^8 pairs of points, about a minute.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"points": [[0.001 * k, 0.0] for k in range(20_000)]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(path))
+        assert time.perf_counter() - start < 10.0
+        assert (code, out) == (2, "")
+        assert err == "error: graph has 20000 vertices; the exact solver is capped at 64\n"
+
+    def test_oversize_document_schema_checked_first(self, capsys, tmp_path):
+        points = [[0.001 * k, 0.0] for k in range(100)]
+        points[70] = [1.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": points}))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert err == "error: graph.points[70]: expected [x, y], got 1 entries\n"
 
     def test_bad_schema(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -23,8 +23,10 @@ from annulus_chroma.schema import SchemaError
 from oracles import (
     construction_exactly_proper,
     exact_radial_chromatic_number,
+    load_outcome,
     random_proper_radial_coloring,
     random_radial_coloring,
+    reference_coloring_from_json,
     reference_verify_radial_coloring,
 )
 
@@ -434,7 +436,46 @@ class TestStructure:
         assert verify_radial_coloring(c).proper
 
 
+_JUNK_NUMBER = st.one_of(st.floats(), st.integers(-3, 9), st.booleans(), st.text(max_size=1), st.none(),
+                        st.just(10**400))
+
+
+@st.composite
+def coloring_documents(draw):
+    """A coloring document, then up to three changes: a junk element appended or put in, one removed, a list reversed."""
+    k = draw(st.integers(0, 12))
+    if draw(st.integers(0, 4)):
+        boundaries = sorted(draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=k, max_size=k,
+                                          unique=True)))
+    else:
+        boundaries = list(range(min(k, 7)))  # all ints, read as floats
+    doc = {
+        "r": draw(_JUNK_NUMBER if draw(st.integers(0, 9)) == 5 else st.floats(0.001, 0.499)),
+        "boundaries": boundaries,
+        "sector_colors": draw(st.lists(st.integers(0, 4), min_size=len(boundaries), max_size=len(boundaries))),
+        "boundary_colors": draw(st.lists(st.integers(0, 4), min_size=len(boundaries), max_size=len(boundaries))),
+    }
+    keys = st.sampled_from(["boundaries", "sector_colors", "boundary_colors"])
+    for _ in range(draw(st.integers(0, 3))):
+        values = doc[draw(keys)]
+        change = draw(st.integers(0, 3))
+        if change == 0:
+            values.append(draw(_JUNK_NUMBER))
+        elif values and change == 1:
+            values.pop(draw(st.integers(0, len(values) - 1)))
+        elif len(values) > 1 and change == 2:
+            values.reverse()
+        elif values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(_JUNK_NUMBER)
+    return doc
+
+
 class TestJson:
+    @given(doc=coloring_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_the_element_by_element_loader(self, doc):
+        assert load_outcome(coloring_from_json, doc) == load_outcome(reference_coloring_from_json, doc)
+
     def test_round_trip(self):
         c = construct_radial_coloring(0.23)
         doc = json.loads(json.dumps(coloring_to_json(c)))
@@ -481,11 +522,62 @@ class TestJson:
             ("boundaries", 6, 2.5, "coloring: boundary angles must be strictly increasing at index 6"),
             ("boundaries", 9, 7.0, "coloring: boundary angle 9 out of [0, 2*pi): 7.0"),
             ("sector_colors", 8, -1, "coloring: sector color 8 must be a nonnegative integer, got -1"),
+            ("boundaries", 7, "7", "coloring.boundaries[7]: expected a number, got str"),
+            ("boundaries", 7, math.inf, "coloring.boundaries[7]: expected a finite number, got inf"),
+            ("boundaries", 7, -math.inf, "coloring.boundaries[7]: expected a finite number, got -inf"),
+            ("boundaries", 7, None, "coloring.boundaries[7]: expected a number, got NoneType"),
+            ("boundary_colors", 9, True, "coloring.boundary_colors[9]: expected an integer, got bool"),
+            ("sector_colors", 8, 2.0, "coloring.sector_colors[8]: expected an integer, got float"),
+            ("boundary_colors", 9, -3, "coloring: boundary color 9 must be a nonnegative integer, got -3"),
+            ("boundaries", 5, 2.0, "coloring: boundary angles must be strictly increasing at index 5"),
+            ("boundaries", 0, -0.5, "coloring: boundary angle 0 out of [0, 2*pi): -0.5"),
         ],
     )
     def test_late_bad_element_message(self, key, index, value, message):
         doc = self._ten_ray_doc()
         doc[key][index] = value
+        with pytest.raises(SchemaError) as exc:
+            coloring_from_json(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # Several bad elements: each list passes the schema in key order
+            # before the coloring is checked, and each names its first offender.
+            ({"boundaries": {3: "x", 5: math.nan}}, "coloring.boundaries[3]: expected a number, got str"),
+            ({"boundaries": {5: math.nan}, "sector_colors": {2: 0.5}},
+             "coloring.boundaries[5]: expected a finite number, got nan"),
+            ({"sector_colors": {4: -1}, "boundary_colors": {1: True}},
+             "coloring.boundary_colors[1]: expected an integer, got bool"),
+            ({"boundaries": {8: 1.0}, "sector_colors": {2: -1}},
+             "coloring: boundary angles must be strictly increasing at index 8"),
+            ({"sector_colors": {6: -2, 2: -1}, "boundary_colors": {0: -1}},
+             "coloring: sector color 2 must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_first_of_several_bad_elements(self, changes, message):
+        doc = self._ten_ray_doc()
+        for key, values in changes.items():
+            for index, value in values.items():
+                doc[key][index] = value
+        with pytest.raises(SchemaError) as exc:
+            coloring_from_json(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ((10, 9, 10), "coloring: expected 10 sector colors, got 9"),
+            ((10, 10, 11), "coloring: expected 10 boundary colors, got 11"),
+            ((9, 10, 8), "coloring: expected 9 sector colors, got 10"),
+            ((0, 0, 0), "coloring: a radial coloring needs at least one boundary ray"),
+        ],
+    )
+    def test_length_mismatch_message(self, lengths, message):
+        doc = self._ten_ray_doc()
+        for key, length in zip(("boundaries", "sector_colors", "boundary_colors"), lengths):
+            doc[key] = doc[key][:length] + [1] * (length - 10)
         with pytest.raises(SchemaError) as exc:
             coloring_from_json(doc)
         assert str(exc.value) == message

@@ -4,10 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulus_chroma.gadgets import SPINDLE_EDGES, embed_odd_cycle, spindle_points
 from annulus_chroma.schema import SchemaError
 from annulus_chroma.udg import (
+    _PAIRS,
     MAX_VERTICES,
     UnitDistanceGraph,
     build_udg,
@@ -21,9 +24,11 @@ from annulus_chroma.udg import (
 from oracles import (
     brute_chromatic,
     brute_colorable,
+    load_outcome,
     mycielski,
     random_graph,
     reference_chromatic_number,
+    reference_graph_from_json,
     reference_greedy_clique,
     reference_greedy_coloring,
 )
@@ -236,7 +241,41 @@ class TestIsProper:
         assert is_proper(g, (0, 1))
 
 
+_JUNK_INDEX = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(), st.text(max_size=1), st.none())
+
+
+@st.composite
+def graph_documents(draw):
+    """Abstract-form documents: a simple graph with up to two junk edges inserted, rarely as a tuple."""
+    n = draw(st.integers(1, MAX_VERTICES + 6) if draw(st.integers(0, 9)) else st.sampled_from([0, -1, True, 2.5, "3"]))
+    top = n if type(n) is int and n > 1 else 2
+    index = st.integers(0, top - 1)
+    pairs = draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]),
+                          unique_by=frozenset, max_size=40))
+    edges = [list(p) for p in pairs]
+    junk = st.one_of(
+        st.lists(st.integers(-1, top), min_size=2, max_size=2),  # out of range or a self-loop
+        st.lists(st.one_of(index, _JUNK_INDEX), min_size=2, max_size=2),
+        st.lists(index, max_size=3),
+        st.tuples(index, index),
+        st.sampled_from(edges) if edges else st.none(),  # a duplicate, in its order or reversed
+        st.sampled_from(edges).map(lambda e: e[::-1]) if edges else st.none(),
+        _JUNK_INDEX,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(junk))
+    return {"n": n, "edges": edges if draw(st.integers(0, 19)) != 10 else tuple(edges)}
+
+
 class TestJson:
+    @given(doc=graph_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_the_element_by_element_loader(self, doc):
+        got = load_outcome(graph_from_json, doc)
+        assert got == load_outcome(reference_graph_from_json, doc)
+        if isinstance(got, UnitDistanceGraph) and got.n <= MAX_VERTICES:
+            assert all(edge is _PAIRS[edge] for edge in got.edges)
+
     def test_points_form_literal(self):
         doc = json.loads('{"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386], [2.0, 0.0]], '
                          '"tolerance": 1e-9}')
@@ -278,3 +317,57 @@ class TestJson:
     def test_structural_error_wrapped(self):
         with pytest.raises(SchemaError, match="self-loop"):
             graph_from_json({"n": 2, "edges": [[1, 1]]})
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({3: 5}, "graph.edges[3]: expected a list, got int"),
+            ({3: (3, 4)}, "graph.edges[3]: expected a list, got tuple"),
+            ({3: [3]}, "graph.edges[3]: expected [i, j], got 1 entries"),
+            ({3: [3, 4, 5]}, "graph.edges[3]: expected [i, j], got 3 entries"),
+            ({3: [True, 4]}, "graph.edges[3][0]: expected an integer, got bool"),
+            ({3: [3, 4.0]}, "graph.edges[3][1]: expected an integer, got float"),
+            ({3: ["3", 4]}, "graph.edges[3][0]: expected an integer, got str"),
+            ({3: [-1, 4]}, "graph: edge (-1, 4) out of range for n=6"),
+            ({3: [3, 6]}, "graph: edge (3, 6) out of range for n=6"),
+            ({3: [4, 4]}, "graph: self-loop at vertex 4"),
+            ({3: [1, 2]}, "graph: duplicate edge (1, 2)"),
+            ({3: [2, 1]}, "graph: duplicate edge (1, 2)"),
+            # Several bad edges: every edge passes the schema before any is
+            # checked against n, and each kind reports its first offender.
+            ({2: [2, 9], 3: [3, "x"]}, "graph.edges[3][1]: expected an integer, got str"),
+            ({2: [1.5, True], 4: []}, "graph.edges[2][0]: expected an integer, got float"),
+            ({1: [7, 7], 3: [9, 0]}, "graph: self-loop at vertex 7"),
+            ({1: [0, 9], 3: [3, 3]}, "graph: edge (0, 9) out of range for n=6"),
+            ({1: [1, 0], 3: [4, 4]}, "graph: duplicate edge (0, 1)"),
+        ],
+    )
+    def test_bad_edge_message(self, changes, message):
+        edges = [[i, i + 1] for i in range(5)]
+        for index, value in changes.items():
+            edges[index] = value
+        with pytest.raises(SchemaError) as exc:
+            graph_from_json({"n": 6, "edges": edges})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n": 3, "edges": {"0": [0, 1]}}, "graph.edges: expected a list, got dict"),
+            ({"n": True, "edges": []}, "graph.n: expected an integer, got bool"),
+            ({"n": 0, "edges": []}, "graph: graph needs at least one vertex, got n=0"),
+        ],
+    )
+    def test_bad_document_message(self, doc, message):
+        with pytest.raises(SchemaError) as exc:
+            graph_from_json(doc)
+        assert str(exc.value) == message
+
+    def test_edges_are_the_shared_pairs(self):
+        g = graph_from_json({"n": MAX_VERTICES, "edges": [[63, 0], [5, 2], [0, 1]]})
+        assert g.edges == ((0, 1), (0, 63), (2, 5))
+        assert all(edge is _PAIRS[edge] for edge in g.edges)
+
+    def test_large_graph_accepted(self):
+        g = graph_from_json({"n": MAX_VERTICES + 6, "edges": [[MAX_VERTICES + 5, 0], [3, MAX_VERTICES + 1], [2, 1]]})
+        assert g.edges == ((0, MAX_VERTICES + 5), (1, 2), (3, MAX_VERTICES + 1))
