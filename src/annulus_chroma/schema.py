@@ -54,15 +54,36 @@ def require_numbers(value, where: str) -> list[float]:
     A list of finite floats is returned itself, not copied.
     """
     values = require_list(value, where)
-    types = set(map(type, values))
-    if types <= {float} and all(map(math.isfinite, values)):
-        return values
-    if types == {int}:
-        try:
-            return list(map(float, values))
-        except OverflowError:
-            pass  # the per-element checks below name the first integer too large
+    floats = _finite_floats(values)
+    if floats is not None:
+        return floats
     return [require_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def require_points(value, where: str) -> list[tuple[float, float]]:
+    """A list of [x, y] points, as float pairs; errors name the first bad point like require_point."""
+    points = require_list(value, where)
+    if set(map(type, points)) <= {list} and set(map(len, points)) <= {2}:
+        flat = _finite_floats(list(chain.from_iterable(points)))
+        if flat is not None:
+            return list(zip(flat[::2], flat[1::2]))
+    return [require_point(p, f"{where}[{i}]") for i, p in enumerate(points)]
+
+
+def _finite_floats(values: list) -> list[float] | None:
+    """The values as floats if all are finite ints and floats of exact type, else None.
+
+    A list of finite floats is returned itself, not copied.
+    """
+    types = set(map(type, values))
+    if not types <= {float, int}:
+        return None
+    if int in types:
+        try:
+            values = list(map(float, values))
+        except OverflowError:
+            return None  # the per-element checks name the first integer too large
+    return values if all(map(math.isfinite, values)) else None
 
 
 def require_ints(value, where: str) -> list[int]:

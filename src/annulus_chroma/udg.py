@@ -8,10 +8,12 @@ color-symmetry breaking, so small instances solve exactly and
 deterministically.  One DSATUR routine does both jobs: the greedy coloring
 that bounds the search from above is the search's own first descent.
 Vertex sets are Python ints used as bitsets (in the style of San Segundo
-et al. 2012): the uncolored vertices are one int, and each color c keeps
-the int of uncolored vertices with a neighbour of color c, so painting a
-vertex visits only its uncolored neighbours that color c did not already
-reach.
+et al. 2012): the uncolored vertices are one int, each color c keeps the
+int of uncolored vertices with a neighbour of color c, and each
+saturation level s keeps the int of vertices whose neighbours carry s
+distinct colors.  Painting a vertex moves the neighbours its color newly
+reaches up one level with one AND per level in use, and the next vertex
+is found in the highest level that holds an uncolored one.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .schema import (
     require_index_pairs,
     require_int,
     require_keys,
-    require_list,
-    require_point,
+    require_points,
     require_tolerance,
 )
 
@@ -181,23 +182,6 @@ def _greedy_clique(masks: list[int]) -> list[int]:
     return clique
 
 
-def _most_saturated(free: int, rank: list[int]) -> int:
-    """The vertex of ``free`` with the highest rank; the lowest index wins ties.
-
-    A rank is n * saturation + degree with degree < n, so comparing ranks
-    compares (saturation, degree) in that order.
-    """
-    best = -1
-    while free:
-        low = free & -free
-        u = low.bit_length() - 1
-        if rank[u] > best:
-            best = rank[u]
-            v = u
-        free ^= low
-    return v
-
-
 def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | None:
     """Proper coloring with at most k colors, or None.
 
@@ -209,33 +193,51 @@ def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | 
     the first descent never backtracks: it is the greedy coloring.
 
     near[c] is the bitset of uncolored vertices with a neighbour of color
-    c.  Painting v with c adds v's uncolored neighbours not yet in near[c]
-    and raises their ranks; unpainting removes that same set again.
-    Vertices are unpainted in reverse order, so the bits of an uncolored
-    vertex are never stale.
+    c, and level[s] the bitset of vertices whose colored neighbours carry s
+    distinct colors; a colored vertex stays in the level it had, so only
+    level[s] & free counts.  The next vertex is the highest-degree, then
+    lowest-index member of the highest level that meets free, and when that
+    level is k the vertex has no color left.  Painting v with c adds v's
+    uncolored neighbours not yet in near[c] to near[c] and moves them up
+    one level, with one AND per level in use; unpainting moves that same
+    set back.  Vertices are unpainted in reverse order, so the bits of an
+    uncolored vertex are never stale.
     """
     n = len(masks)
     colors = [-1] * n
     near = [0] * k
-    rank = [m.bit_count() for m in masks]  # see _most_saturated
     free = (1 << n) - 1
     for c, v in enumerate(seed):
         colors[v] = c
         free ^= 1 << v
-        near[c] = rest = masks[v] & free
-        while rest:
-            low = rest & -rest
-            rank[low.bit_length() - 1] += n
-            rest ^= low
-    limit = k * n
+        near[c] = masks[v] & free
+    # The seed is a clique of distinct colors: a vertex's level is the
+    # number of seed vertices next to it.
+    seed_set = ((1 << n) - 1) ^ free
+    level = [0] * (k + 1)
+    for u in range(n):
+        if free >> u & 1:
+            level[(masks[u] & seed_set).bit_count()] |= 1 << u
+    degree = [m.bit_count() for m in masks]
 
     def extend(free: int, max_used: int) -> bool:
         if not free:
             return True
-        v = _most_saturated(free, rank)
-        if rank[v] >= limit:
+        # No vertex sees more colors than are in use.
+        s = max_used + 1
+        while not level[s] & free:
+            s -= 1
+        if s == k:
             return False
-        bit = 1 << v
+        choice = level[s] & free
+        best = -1
+        while choice:
+            low = choice & -choice
+            u = low.bit_length() - 1
+            if degree[u] > best:
+                best = degree[u]
+                v, bit = u, low
+            choice ^= low
         free ^= bit
         neighbours = masks[v] & free
         for c in range(min(max_used + 1, k - 1) + 1):
@@ -244,18 +246,21 @@ def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | 
             colors[v] = c
             new = neighbours & ~near[c]
             near[c] |= new
-            rest = new
-            while rest:
-                low = rest & -rest
-                rank[low.bit_length() - 1] += n
-                rest ^= low
-            if extend(free, c if c > max_used else max_used):
+            # A vertex of new sees at most the colors in use, and not c:
+            # it moves up from a level <= used.  The moves run top down
+            # (and back bottom up), so that no vertex moves twice.
+            used = c if c > max_used else max_used
+            for s in range(used, -1, -1):
+                moved = level[s] & new
+                level[s] ^= moved
+                level[s + 1] |= moved
+            if extend(free, used):
                 return True
             near[c] ^= new
-            while new:
-                low = new & -new
-                rank[low.bit_length() - 1] -= n
-                new ^= low
+            for s in range(1, used + 2):
+                moved = level[s] & new
+                level[s] ^= moved
+                level[s - 1] |= moved
         return False
 
     if extend(free, len(seed) - 1):
@@ -290,8 +295,9 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
 def graph_from_json(data: dict) -> UnitDistanceGraph:
     """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}.
 
-    The edge list is checked in one bulk pass, and edge by edge only when
-    that pass fails, so an error names the first bad element's position.
+    The point or edge list is checked in one bulk pass, and element by
+    element only when that pass fails, so an error names the first bad
+    element's position.
     """
     _, build = _read_graph_json(data)
     return build()
@@ -306,10 +312,7 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
     """
     if isinstance(data, dict) and "points" in data:
         require_keys(data, ("points",), "graph", optional=("tolerance",))
-        pts = [
-            require_point(p, f"graph.points[{i}]")
-            for i, p in enumerate(require_list(data["points"], "graph.points"))
-        ]
+        pts = require_points(data["points"], "graph.points")
         tolerance = require_tolerance(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
         if not pts:
             raise SchemaError("graph.points: must not be empty")

@@ -35,8 +35,10 @@ from annulus_chroma.schema import (
     require_keys,
     require_list,
     require_number,
+    require_point,
+    require_tolerance,
 )
-from annulus_chroma.udg import _PAIRS, UnitDistanceGraph
+from annulus_chroma.udg import _PAIRS, UnitDistanceGraph, build_udg
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,7 +250,20 @@ def load_outcome(load, data):
 
 
 def reference_graph_from_json(data) -> UnitDistanceGraph:
-    """The abstract {n, edges} form only."""
+    """Either form, with the points and edges checked one at a time."""
+    if isinstance(data, dict) and "points" in data:
+        require_keys(data, ("points",), "graph", optional=("tolerance",))
+        pts = [
+            require_point(p, f"graph.points[{i}]")
+            for i, p in enumerate(require_list(data["points"], "graph.points"))
+        ]
+        tolerance = require_tolerance(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
+        if not pts:
+            raise SchemaError("graph.points: must not be empty")
+        try:
+            return build_udg(pts, tolerance)
+        except ValueError as exc:
+            raise SchemaError(f"graph: {exc}") from exc
     require_keys(data, ("n", "edges"), "graph")
     n = require_int(data["n"], "graph.n")
     edges = [

@@ -223,6 +223,32 @@ class TestReferenceIdentity:
             graph = random_graph(rng, max_n=40, edge_probability=0.1 + 0.4 * i / 299)
             assert _same_as_reference(graph), f"graph {i}: n={graph.n}, edges={graph.edges}"
 
+    def test_random_graphs_near_the_cap(self):
+        # Deep searches on many vertices, where choosing among many
+        # uncolored vertices at each node is where the solver spends its time.
+        rng = random.Random(2013)
+        for i in range(30):
+            n = 48 + 16 * i // 29
+            graph = _gnp(rng, n, 0.08 + 0.17 * i / 29)
+            assert _same_as_reference(graph), f"graph {i}: n={graph.n}, edges={graph.edges}"
+
+    def test_hard_dense_graph(self):
+        # Built as the benchmark's fixed hard G(64, 0.25) is built from its draw 16.
+        graph = _gnp(random.Random(16), 64, 0.25)
+        assert _same_as_reference(graph)
+        assert chromatic_number_exact(graph)[0] == 7
+
+    def test_tie_on_saturation_and_degree_goes_to_the_lower_index(self):
+        # After the hub 0, vertices 1 to 4 all see one color; 2 and 4 lead
+        # on degree and tie, so 2 is colored next and 4 takes a third color.
+        graph = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
+        assert greedy_coloring(graph) == (0, 1, 1, 1, 2)
+        assert _same_as_reference(graph)
+
+
+def _gnp(rng: random.Random, n: int, p: float) -> UnitDistanceGraph:
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
 
 class TestIsProper:
     def test_spindle_witness(self):
@@ -267,6 +293,29 @@ def graph_documents(draw):
     return {"n": n, "edges": edges if draw(st.integers(0, 19)) != 10 else tuple(edges)}
 
 
+_COORDINATE = st.one_of(st.sampled_from([0, 1, 2, -1, 0.0, 0.5, 1.0]), st.floats(-3.0, 3.0))
+_JUNK_COORDINATE = st.one_of(st.booleans(), st.text(max_size=1), st.none(),
+                             st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**309]))
+
+
+@st.composite
+def point_documents(draw):
+    """Geometric-form documents: up to eight points with up to two junk points inserted, sometimes a tolerance."""
+    points = draw(st.lists(st.lists(_COORDINATE, min_size=2, max_size=2), max_size=8))
+    junk = st.one_of(
+        st.lists(st.one_of(_COORDINATE, _JUNK_COORDINATE), min_size=2, max_size=2),
+        st.lists(_COORDINATE, max_size=3),
+        st.tuples(_COORDINATE, _COORDINATE),
+        _JUNK_COORDINATE,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        points.insert(draw(st.integers(0, len(points))), draw(junk))
+    doc = {"points": points}
+    if draw(st.booleans()):
+        doc["tolerance"] = draw(st.sampled_from([1e-9, 1e-6, 0.0, True]))
+    return doc
+
+
 class TestJson:
     @given(doc=graph_documents())
     @settings(max_examples=400, deadline=None)
@@ -275,6 +324,11 @@ class TestJson:
         assert got == load_outcome(reference_graph_from_json, doc)
         if isinstance(got, UnitDistanceGraph) and got.n <= MAX_VERTICES:
             assert all(edge is _PAIRS[edge] for edge in got.edges)
+
+    @given(doc=point_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_points_same_outcome_as_the_point_by_point_loader(self, doc):
+        assert load_outcome(graph_from_json, doc) == load_outcome(reference_graph_from_json, doc)
 
     def test_points_form_literal(self):
         doc = json.loads('{"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386], [2.0, 0.0]], '
@@ -305,6 +359,35 @@ class TestJson:
     def test_bad_point_position_reported(self):
         with pytest.raises(SchemaError, match=r"points\[1\]"):
             graph_from_json({"points": [[0.0, 0.0], [1.0]]})
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({1: 5}, "graph.points[1]: expected a list, got int"),
+            ({1: (1.0, 0.0)}, "graph.points[1]: expected a list, got tuple"),
+            ({1: [1.0]}, "graph.points[1]: expected [x, y], got 1 entries"),
+            ({1: [1.0, 0.0, 0.0]}, "graph.points[1]: expected [x, y], got 3 entries"),
+            ({1: [True, 0.0]}, "graph.points[1][0]: expected a number, got bool"),
+            ({1: [1.0, "0"]}, "graph.points[1][1]: expected a number, got str"),
+            ({1: [None, 0.0]}, "graph.points[1][0]: expected a number, got NoneType"),
+            ({1: [math.nan, 0.0]}, "graph.points[1][0]: expected a finite number, got nan"),
+            ({1: [1.0, math.inf]}, "graph.points[1][1]: expected a finite number, got inf"),
+            ({1: [-math.inf, 0.0]}, "graph.points[1][0]: expected a finite number, got -inf"),
+            ({1: [10**400, 0.0]}, "graph.points[1][0]: expected a finite number, got an integer too large for a float"),
+            ({1: [1, -10**309]}, "graph.points[1][1]: expected a finite number, got an integer too large for a float"),
+            # Several bad points: the first one is named, whatever its kind.
+            ({1: [1.0, "x"], 3: 7}, "graph.points[1][1]: expected a number, got str"),
+            ({2: [1.0], 3: [math.nan, 0.0]}, "graph.points[2]: expected [x, y], got 1 entries"),
+            ({0: [0.0, math.inf], 2: [False, 1.0]}, "graph.points[0][1]: expected a finite number, got inf"),
+        ],
+    )
+    def test_bad_point_message(self, changes, message):
+        points = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.25], [2, 1]]
+        for index, value in changes.items():
+            points[index] = value
+        with pytest.raises(SchemaError) as exc:
+            graph_from_json({"points": points})
+        assert str(exc.value) == message
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaError, match="unknown keys"):
