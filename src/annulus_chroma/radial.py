@@ -13,7 +13,9 @@ reported pair, so an early conflict costs little on a large coloring.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -26,7 +28,7 @@ from .geometry import (
     Point,
     contains_unit_pair,
 )
-from .schema import SchemaError, require_ints, require_keys, require_number, require_numbers
+from .schema import SchemaError, require_int, require_keys, require_list, require_number
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,36 @@ def radial_chromatic_number(r: float) -> int:
     return next(t.colors for t in thresholds() if r <= t.max_r)
 
 
-def _color_ints(colors, name: str) -> tuple[int, ...]:
-    """The colors as ints, refusing any that is not an integer.
+def _angles(boundaries) -> tuple[float, ...]:
+    """The angles as floats, refusing any that is not a real number; float() would parse "0.5" and read True."""
+    bs = tuple(boundaries)
+    types = set(map(type, bs))
+    if types <= {float}:
+        return bs
+    if types <= {float, int}:
+        with contextlib.suppress(OverflowError):  # the loop names the first integer too large
+            return tuple(map(float, bs))
+    angles = []
+    for i, b in enumerate(bs):
+        if isinstance(b, bool) or not isinstance(b, numbers.Real):
+            raise ValueError(f"boundary angle {i} must be a real number, got {b!r}")
+        try:
+            angles.append(float(b))
+        except OverflowError:
+            raise ValueError(f"boundary angle {i} must be a finite number, "
+                             "got an integer too large for a float") from None
+    return tuple(angles)
 
-    int() would truncate 1.5 into another color class and parse "1".
-    """
-    try:
-        return tuple(map(operator.index, colors))
-    except TypeError:
-        for i, c in enumerate(colors):
-            if not hasattr(c, "__index__"):
-                raise ValueError(f"{name} color {i} must be a nonnegative integer, got {c!r}") from None
-        raise
+
+def _color_ints(colors, name: str) -> tuple[int, ...]:
+    """The colors as ints; int() would truncate 1.5 into another color class and parse "1", index() read True."""
+    cs = tuple(colors)
+    if set(map(type, cs)) <= {int}:
+        return cs
+    for i, c in enumerate(cs):
+        if isinstance(c, bool) or not hasattr(c, "__index__"):
+            raise ValueError(f"{name} color {i} must be a nonnegative integer, got {c!r}")
+    return tuple(map(operator.index, cs))
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,9 @@ class RadialColoring:
     ``boundaries`` must be strictly increasing angles in [0, 2*pi).  Sector i
     spans boundaries[i] to boundaries[(i+1) % n], open at both ends; with a
     single boundary the lone sector spans the full circle minus that ray.
+    Angles are stored as floats and colors as ints; a bool or a string is
+    neither.  Only a list a bulk pass over exact types refuses is checked
+    element by element, which names the first bad index.
     """
 
     annulus: Annulus
@@ -94,7 +117,7 @@ class RadialColoring:
     boundary_colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boundaries", tuple(map(float, self.boundaries)))
+        object.__setattr__(self, "boundaries", _angles(self.boundaries))
         object.__setattr__(self, "sector_colors", _color_ints(self.sector_colors, "sector"))
         object.__setattr__(self, "boundary_colors", _color_ints(self.boundary_colors, "boundary"))
         n = len(self.boundaries)
@@ -219,14 +242,25 @@ def coloring_to_json(coloring: RadialColoring) -> dict:
     }
 
 
+_LISTS = (("boundaries", require_number), ("sector_colors", require_int), ("boundary_colors", require_int))
+
+
 def coloring_from_json(data: dict) -> RadialColoring:
+    """The coloring of a JSON document; RadialColoring checks its lists.
+
+    Only lists it refuses are checked against the schema element by element,
+    in key order, so a SchemaError names the first bad element's position.
+    """
     require_keys(data, ("r", "boundaries", "sector_colors", "boundary_colors"), "coloring")
     r = require_number(data["r"], "coloring.r")
-    boundaries = require_numbers(data["boundaries"], "coloring.boundaries")
-    sector_colors = require_ints(data["sector_colors"], "coloring.sector_colors")
-    boundary_colors = require_ints(data["boundary_colors"], "coloring.boundary_colors")
+    lists = [data[key] for key, _ in _LISTS]
     try:
-        # The constructor's float and index conversions make the stored tuples.
-        return RadialColoring(Annulus(r), boundaries, sector_colors, boundary_colors)
+        if not all(isinstance(values, list) for values in lists):
+            raise ValueError("a list is not a JSON array")  # the checks below name it
+        return RadialColoring(Annulus(r), *lists)
     except ValueError as exc:
+        for key, require in _LISTS:
+            for i, value in enumerate(require_list(data[key], f"coloring.{key}")):
+                require(value, f"coloring.{key}[{i}]")
         raise SchemaError(f"coloring: {exc}") from exc
+

@@ -1,14 +1,16 @@
 """Strict JSON schema helpers shared by the serializable types.
 
 Validation errors carry the position of the offending value (dotted path
-with list indices) so malformed documents are diagnosable.  A list helper
-checks the whole list in one bulk pass over exact types; only a list that
-pass does not accept is checked element by element, and that check decides,
-so an error names the first bad element's position.
+with list indices) so malformed documents are diagnosable.  An edge or
+coloring list is checked by the constructor that stores it; the loaders
+check it element by element here only when the constructor refuses it, to
+name the first bad element.  A point list is checked here, by
+require_points, so solve can refuse it for size before build_udg.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from itertools import chain
 from typing import Iterable
@@ -48,66 +50,20 @@ def require_int(value, where: str) -> int:
     return value
 
 
-def require_numbers(value, where: str) -> list[float]:
-    """A list of finite numbers, as floats; errors name the first bad element like require_number.
-
-    A list of finite floats is returned itself, not copied.
-    """
-    values = require_list(value, where)
-    floats = _finite_floats(values)
-    if floats is not None:
-        return floats
-    return [require_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
-
-
 def require_points(value, where: str) -> list[tuple[float, float]]:
-    """A list of [x, y] points, as float pairs; errors name the first bad point like require_point."""
+    """A list of [x, y] points, as float pairs; errors name the first bad point like require_point.
+
+    Only a list that a bulk pass over exact types refuses is checked point by point.
+    """
     points = require_list(value, where)
     if set(map(type, points)) <= {list} and set(map(len, points)) <= {2}:
-        flat = _finite_floats(list(chain.from_iterable(points)))
-        if flat is not None:
-            return list(zip(flat[::2], flat[1::2]))
+        flat = list(chain.from_iterable(points))
+        if set(map(type, flat)) <= {float, int}:
+            with contextlib.suppress(OverflowError):  # the per-point checks name the first integer too large
+                flat = list(map(float, flat))
+                if all(map(math.isfinite, flat)):
+                    return list(zip(flat[::2], flat[1::2]))
     return [require_point(p, f"{where}[{i}]") for i, p in enumerate(points)]
-
-
-def _finite_floats(values: list) -> list[float] | None:
-    """The values as floats if all are finite ints and floats of exact type, else None.
-
-    A list of finite floats is returned itself, not copied.
-    """
-    types = set(map(type, values))
-    if not types <= {float, int}:
-        return None
-    if int in types:
-        try:
-            values = list(map(float, values))
-        except OverflowError:
-            return None  # the per-element checks name the first integer too large
-    return values if all(map(math.isfinite, values)) else None
-
-
-def require_ints(value, where: str) -> list[int]:
-    """A list of integers; errors name the first bad element like require_int.
-
-    A list of ints is returned itself, not copied.
-    """
-    values = require_list(value, where)
-    if set(map(type, values)) <= {int}:
-        return values
-    return [require_int(v, f"{where}[{i}]") for i, v in enumerate(values)]
-
-
-def require_index_pairs(value, where: str) -> list:
-    """A list of [i, j] integer pairs; errors name the first bad element like require_index_pair.
-
-    A list of two-int lists is returned itself, not copied; otherwise the
-    pairs come back as tuples.
-    """
-    pairs = require_list(value, where)
-    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int}):
-        return pairs
-    return [require_index_pair(e, f"{where}[{i}]") for i, e in enumerate(pairs)]
 
 
 def require_list(value, where: str) -> list:

@@ -14,21 +14,27 @@ saturation level s keeps the int of vertices whose neighbours carry s
 distinct colors.  Painting a vertex moves the neighbours its color newly
 reaches up one level with one AND per level in use, and the next vertex
 is found in the highest level that holds an uncolored one.
+
+UnitDistanceGraph alone checks edge lists; graph_from_json checks one the
+graph refuses against the schema, to name the bad element's position.
+schema.require_points checks the point list of a document.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 from .geometry import DEFAULT_TOLERANCE, Point
 from .schema import (
     SchemaError,
-    require_index_pairs,
+    require_index_pair,
     require_int,
     require_keys,
+    require_list,
     require_points,
     require_tolerance,
 )
@@ -49,7 +55,9 @@ ColoringAssignment = tuple[int, ...]
 class UnitDistanceGraph:
     """Graph on indexed vertices, optionally carrying planar coordinates.
 
-    The tolerance must be finite and nonnegative.  When points are present,
+    An edge is a pair of distinct vertex indices in range(n), of any integer
+    type but bool, stored as ints.  The tolerance must be finite and
+    nonnegative.  When points are present,
     they must be finite and every edge must join a pair at distance 1
     within the tolerance (the converse is enforced by build_udg, not by
     the type).
@@ -73,7 +81,14 @@ class UnitDistanceGraph:
             # solver's size: check edge by edge, which names the first bad one.
             canonical = []
             seen = set()
-            for i, j in self.edges:
+            for edge in self.edges:
+                try:
+                    i, j = edge
+                    if isinstance(i, bool) or isinstance(j, bool):
+                        raise TypeError
+                    i, j = operator.index(i), operator.index(j)
+                except (TypeError, ValueError):
+                    raise ValueError(f"edge {edge!r} is not a pair of integer vertex indices") from None
                 if i == j:
                     raise ValueError(f"self-loop at vertex {i}")
                 if not (0 <= i < self.n and 0 <= j < self.n):
@@ -138,15 +153,6 @@ def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> Unit
             if abs(math.dist(pts[i], pts[j]) - 1.0) <= tolerance:
                 edges.append((i, j))
     return UnitDistanceGraph(len(pts), tuple(edges), tuple(pts), tolerance)
-
-
-def graph_from_edges(n: int, edges) -> UnitDistanceGraph:
-    """Abstract graph without coordinates (the solver is geometry-agnostic)."""
-    # Lists and tuples of lists and tuples are read as they are, more than
-    # once; anything else is copied into tuples first.
-    if type(edges) not in (list, tuple) or not set(map(type, edges)) <= {list, tuple}:
-        edges = tuple(tuple(e) for e in edges)
-    return UnitDistanceGraph(n, edges)
 
 
 def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
@@ -295,9 +301,9 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
 def graph_from_json(data: dict) -> UnitDistanceGraph:
     """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}.
 
-    The point or edge list is checked in one bulk pass, and element by
-    element only when that pass fails, so an error names the first bad
-    element's position.
+    schema.require_points checks a point list, and UnitDistanceGraph an
+    edge list.  Only an edge list it refuses is checked against the schema
+    pair by pair, so a SchemaError names the first bad element's position.
     """
     _, build = _read_graph_json(data)
     return build()
@@ -308,7 +314,8 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
 
     The document's schema is checked first.  The count lets a caller refuse
     a graph the solver cannot take before build_udg's pass over all pairs of
-    points; the graph's own checks run when it is built.
+    points, which a checked point list cannot fail; building an abstract
+    graph checks its edges, so it is built here.
     """
     if isinstance(data, dict) and "points" in data:
         require_keys(data, ("points",), "graph", optional=("tolerance",))
@@ -316,15 +323,16 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
         tolerance = require_tolerance(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
         if not pts:
             raise SchemaError("graph.points: must not be empty")
-        return len(pts), lambda: _schema_checked(build_udg, pts, tolerance)
+        return len(pts), lambda: build_udg(pts, tolerance)
     require_keys(data, ("n", "edges"), "graph")
     n = require_int(data["n"], "graph.n")
-    edges = require_index_pairs(data["edges"], "graph.edges")
-    return n, lambda: _schema_checked(graph_from_edges, n, edges)
-
-
-def _schema_checked(build, *args) -> UnitDistanceGraph:
+    edges = require_list(data["edges"], "graph.edges")
     try:
-        return build(*args)
+        if not all(isinstance(e, list) for e in edges):
+            raise ValueError("an edge is not a JSON array")  # the checks below name it
+        graph = UnitDistanceGraph(n, edges)
     except ValueError as exc:
+        for i, e in enumerate(edges):
+            require_index_pair(e, f"graph.edges[{i}]")
         raise SchemaError(f"graph: {exc}") from exc
+    return n, lambda: graph

@@ -308,6 +308,10 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert err == "error: graph.points[70]: expected [x, y], got 1 entries\n"
+        path.write_text(json.dumps({"n": 65, "edges": [[0, "x"]]}))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert err == "error: graph.edges[0][1]: expected an integer, got str\n"
 
     def test_bad_schema(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

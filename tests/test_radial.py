@@ -424,6 +424,26 @@ class TestStructure:
             RadialColoring(Annulus(0.2), (0.0, 1.0), sectors, rays)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("boundaries, sectors, rays, message", [
+        (["0.5", "2"], (0, 1), (0, 1), "boundary angle 0 must be a real number, got '0.5'"),
+        ((0.0, True), (0, 1), (0, 1), "boundary angle 1 must be a real number, got True"),
+        ((0.0, None), (0, 1), (0, 1), "boundary angle 1 must be a real number, got None"),
+        ((0, 10**400), (0, 1), (0, 1),
+         "boundary angle 1 must be a finite number, got an integer too large for a float"),
+        ((0.0, 1.0), (0, True), (0, 1), "sector color 1 must be a nonnegative integer, got True"),
+        ((0.0, 1.0), (0, 1), (False, 1), "boundary color 0 must be a nonnegative integer, got False"),
+    ], ids=["strings", "bool-boundary", "none-boundary", "huge-int-boundary", "bool-sector", "bool-ray"])
+    def test_non_number_element_rejected(self, boundaries, sectors, rays, message):
+        # float() used to parse "0.5" and store True as 1.0, and index() took a bool as 0 or 1.
+        with pytest.raises(ValueError) as exc:
+            RadialColoring(Annulus(0.1), boundaries, sectors, rays)
+        assert str(exc.value) == message
+
+    def test_numpy_boundaries_stored_as_floats(self):
+        c = RadialColoring(Annulus(0.2), (np.int64(0), np.float64(1.5), np.float32(2.5)), (0, 1, 2), (2, 0, 1))
+        assert c.boundaries == (0.0, 1.5, 2.5)
+        assert all(type(b) is float for b in c.boundaries)
+
     def test_integer_like_colors_stored_as_ints(self):
         c = RadialColoring(Annulus(0.2), (0.0, 1.0), np.array([0, 1]), (1, 0))
         assert c.sector_colors == (0, 1) and c.boundary_colors == (1, 0)
@@ -442,7 +462,10 @@ _JUNK_NUMBER = st.one_of(st.floats(), st.integers(-3, 9), st.booleans(), st.text
 
 @st.composite
 def coloring_documents(draw):
-    """A coloring document, then up to three changes: a junk element appended or put in, one removed, a list reversed."""
+    """A coloring document, then up to three changes: a junk element appended or put in, one removed, a list reversed.
+
+    Rarely one of the three lists is then made a tuple.
+    """
     k = draw(st.integers(0, 12))
     if draw(st.integers(0, 4)):
         boundaries = sorted(draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=k, max_size=k,
@@ -467,6 +490,9 @@ def coloring_documents(draw):
             values.reverse()
         elif values:
             values[draw(st.integers(0, len(values) - 1))] = draw(_JUNK_NUMBER)
+    if draw(st.integers(0, 19)) == 10:
+        key = draw(keys)
+        doc[key] = tuple(doc[key])  # a container that is not a JSON array
     return doc
 
 

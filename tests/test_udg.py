@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from annulus_chroma.udg import (
     UnitDistanceGraph,
     build_udg,
     chromatic_number_exact,
-    graph_from_edges,
     graph_from_json,
     greedy_clique,
     greedy_coloring,
@@ -73,15 +73,15 @@ class TestBuildUdg:
 class TestGraphStructure:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            graph_from_edges(3, [(1, 1)])
+            UnitDistanceGraph(3, [(1, 1)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
-            graph_from_edges(3, [(0, 1), (1, 0)])
+            UnitDistanceGraph(3, [(0, 1), (1, 0)])
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
-            graph_from_edges(3, [(0, 3)])
+            UnitDistanceGraph(3, [(0, 3)])
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
@@ -97,49 +97,75 @@ class TestGraphStructure:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            graph_from_edges(0, [])
+            UnitDistanceGraph(0, [])
 
     @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
     def test_non_integer_vertex_count_rejected(self, n):
         # A float count would build and then fail inside the solver.
         with pytest.raises(ValueError, match="vertex count must be an integer"):
-            graph_from_edges(n, [(0, 1)])
+            UnitDistanceGraph(n, [(0, 1)])
 
     def test_edge_length_validated_when_points_given(self):
         with pytest.raises(ValueError):
             UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (0.5, 0.0)), 1e-9)
 
+    @pytest.mark.parametrize("n", [3, MAX_VERTICES + 1])
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1.5)], "edge (0, 1.5) is not a pair of integer vertex indices"),
+            ([(0, 2.0)], "edge (0, 2.0) is not a pair of integer vertex indices"),
+            ([(True, 2)], "edge (True, 2) is not a pair of integer vertex indices"),
+            ([(0, 1), [2, False]], "edge [2, False] is not a pair of integer vertex indices"),
+            (["ab"], "edge 'ab' is not a pair of integer vertex indices"),
+            ([(0, None)], "edge (0, None) is not a pair of integer vertex indices"),
+            ([(0, 1, 2)], "edge (0, 1, 2) is not a pair of integer vertex indices"),
+            ([5], "edge 5 is not a pair of integer vertex indices"),
+        ],
+        ids=["float", "integral-float", "bool", "late-bool", "string", "none", "triple", "int"],
+    )
+    def test_non_integer_edge_rejected(self, n, edges, message):
+        # Such an edge used to be stored, and the solver then raised TypeError.
+        with pytest.raises(ValueError) as exc:
+            UnitDistanceGraph(n, edges)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_edges_stored_as_ints(self):
+        g = UnitDistanceGraph(3, np.array([[2, 0], [1, 2]]))
+        assert g.edges == ((0, 2), (1, 2))
+        assert all(type(i) is int for edge in g.edges for i in edge)
+
     def test_edges_canonicalized(self):
-        g = graph_from_edges(4, [(3, 1), (2, 0)])
+        g = UnitDistanceGraph(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
 
     def test_edge_tuples_shared_between_graphs(self):
-        a = graph_from_edges(4, [(3, 1)])
-        b = graph_from_edges(5, [[1, 3]])
+        a = UnitDistanceGraph(4, [(3, 1)])
+        b = UnitDistanceGraph(5, [[1, 3]])
         assert a.edges[0] is b.edges[0]
-        big = graph_from_edges(MAX_VERTICES + 2, [(MAX_VERTICES + 1, 0)])
+        big = UnitDistanceGraph(MAX_VERTICES + 2, [(MAX_VERTICES + 1, 0)])
         assert big.edges == ((0, MAX_VERTICES + 1),)
 
 
 class TestChromaticNumber:
     def test_odd_cycle(self):
-        c5 = graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        c5 = UnitDistanceGraph(5, [(i, (i + 1) % 5) for i in range(5)])
         chi, witness = chromatic_number_exact(c5)
         assert chi == 3
         assert is_proper(c5, witness)
 
     def test_complete_graph(self):
-        k4 = graph_from_edges(4, list(itertools.combinations(range(4), 2)))
+        k4 = UnitDistanceGraph(4, list(itertools.combinations(range(4), 2)))
         assert chromatic_number_exact(k4)[0] == 4
 
     def test_single_vertex(self):
-        g = graph_from_edges(1, [])
+        g = UnitDistanceGraph(1, [])
         chi, witness = chromatic_number_exact(g)
         assert (chi, witness) == (1, (0,))
         assert is_proper(g, witness)
 
     def test_bipartite(self):
-        g = graph_from_edges(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
+        g = UnitDistanceGraph(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
         assert chromatic_number_exact(g)[0] == 2
 
     def test_moser_spindle(self):
@@ -181,12 +207,12 @@ class TestChromaticNumber:
         assert chromatic_number_exact(g) == chromatic_number_exact(g)
 
     def test_size_cap(self):
-        g = graph_from_edges(MAX_VERTICES + 1, [])
+        g = UnitDistanceGraph(MAX_VERTICES + 1, [])
         with pytest.raises(ValueError, match="capped"):
             chromatic_number_exact(g)
 
     def test_cap_boundary_accepted(self):
-        g = graph_from_edges(MAX_VERTICES, [(0, 1)])
+        g = UnitDistanceGraph(MAX_VERTICES, [(0, 1)])
         assert chromatic_number_exact(g)[0] == 2
 
 
@@ -204,9 +230,9 @@ class TestReferenceIdentity:
     @pytest.mark.parametrize(
         "graph,chi",
         [
-            (graph_from_edges(9, []), 1),
-            (graph_from_edges(1, []), 1),
-            (graph_from_edges(64, list(itertools.combinations(range(64), 2))), 64),
+            (UnitDistanceGraph(9, []), 1),
+            (UnitDistanceGraph(1, []), 1),
+            (UnitDistanceGraph(64, list(itertools.combinations(range(64), 2))), 64),
             (build_udg(list(spindle_points()), 1e-9), 4),
             (mycielski(4, random.Random(4)), 4),
             (mycielski(5, random.Random(5)), 5),
@@ -241,13 +267,13 @@ class TestReferenceIdentity:
     def test_tie_on_saturation_and_degree_goes_to_the_lower_index(self):
         # After the hub 0, vertices 1 to 4 all see one color; 2 and 4 lead
         # on degree and tie, so 2 is colored next and 4 takes a third color.
-        graph = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
+        graph = UnitDistanceGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
         assert greedy_coloring(graph) == (0, 1, 1, 1, 2)
         assert _same_as_reference(graph)
 
 
 def _gnp(rng: random.Random, n: int, p: float) -> UnitDistanceGraph:
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    return UnitDistanceGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
 class TestIsProper:
@@ -257,12 +283,12 @@ class TestIsProper:
         assert is_proper(g, witness)
 
     def test_length_mismatch(self):
-        g = graph_from_edges(3, [(0, 1)])
+        g = UnitDistanceGraph(3, [(0, 1)])
         with pytest.raises(ValueError):
             is_proper(g, (0, 1))
 
     def test_monochromatic_edge_detected(self):
-        g = graph_from_edges(2, [(0, 1)])
+        g = UnitDistanceGraph(2, [(0, 1)])
         assert not is_proper(g, (0, 0))
         assert is_proper(g, (0, 1))
 
@@ -339,7 +365,7 @@ class TestJson:
 
     def test_abstract_form_literal(self):
         g = graph_from_json(json.loads('{"n": 5, "edges": [[0, 1], [4, 2]]}'))
-        assert g == graph_from_edges(5, [(0, 1), (2, 4)])
+        assert g == UnitDistanceGraph(5, [(0, 1), (2, 4)])
         assert g.points is None
 
     def test_points_form_default_tolerance(self):
