@@ -164,26 +164,11 @@ def unit_chord_angle(outer_radius: float) -> float:
 #   radii and (a, a) never exceeds (b, b).
 # The (a, b) corner never exceeds a + b = 1, so with theta = 2*asin(1/(2*b))
 # the exact d_max reaches 1 exactly when g_max >= theta.
+#
+# A pair is analysed in plain floats and tuples: contains_unit_pair builds
+# objects only for a witness it returns, and sector_distance_interval only
+# the DistanceInterval it returns.
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _GapExtreme:
-    gap: float  # extreme circular distance in [0, pi]
-    delta: float  # a realizing angular difference in [lo, hi], at an attained end if one is
-    attained: bool  # realizable by a pair respecting the endpoint flags
-
-
-@dataclass(frozen=True)
-class _PairAnalysis:
-    interval: DistanceInterval
-    arc1: AngularInterval
-    arc2: AngularInterval
-    lo: float  # unwrapped range [lo, hi] of phi1 - phi2
-    hi: float
-    gap_min: _GapExtreme  # governs the distance minimum
-    gap_max: _GapExtreme  # governs the distance maximum
-    swapped: bool
 
 
 def _gap_extreme(
@@ -193,18 +178,20 @@ def _gap_extreme(
     hi_ok: bool,
     target: float,
     tolerance: float,
-) -> _GapExtreme:
+) -> tuple[float, float, bool]:
     """Extreme circular distance over the angular-difference arc [lo, hi].
 
-    ``lo_ok`` and ``hi_ok`` say whether each end is attained.  ``target``
-    is the circular distance being hunted (0 for the min, pi for the max);
-    if it is unreachable the extreme sits at an arc endpoint.
+    Returns (gap, delta, attained): the extreme circular distance in
+    [0, pi], a realizing angular difference in [lo, hi] (at an attained end
+    if one is), and whether a pair respecting the endpoint flags realizes
+    it.  ``lo_ok`` and ``hi_ok`` say whether each end is attained.
+    ``target`` is the circular distance being hunted (0 for the min, pi for
+    the max); if it is unreachable the extreme sits at an arc endpoint.
     """
     span = hi - lo
 
     if span >= TWO_PI + tolerance:
-        delta = lo + ((target - lo) % TWO_PI)
-        return _GapExtreme(target, delta, True)
+        return target, lo + ((target - lo) % TWO_PI), True
 
     u = (target - lo) % TWO_PI
     if u >= TWO_PI - tolerance:
@@ -216,13 +203,13 @@ def _gap_extreme(
         # Full circle with a single seam at lo (== hi mod 2*pi).
         at_lo = at_hi = at_lo or u >= span - tolerance
     if at_lo and at_hi:
-        return _GapExtreme(target, lo if lo_ok else hi, lo_ok or hi_ok)
+        return target, lo if lo_ok else hi, lo_ok or hi_ok
     if at_lo:
-        return _GapExtreme(target, lo, lo_ok)
+        return target, lo, lo_ok
     if at_hi:
-        return _GapExtreme(target, hi, hi_ok)
+        return target, hi, hi_ok
     if u < span:
-        return _GapExtreme(target, lo + u, True)
+        return target, lo + u, True
 
     # Target unreachable: the extreme is at the arc endpoint of greater
     # (min) or lesser (max) cosine, the two counted equal within 1e-12.
@@ -234,10 +221,10 @@ def _gap_extreme(
     v_hi = math.cos(abs(hi))
     if abs(v_lo - v_hi) <= 1e-12:
         ends = (abs(math.remainder(lo, TWO_PI)), abs(math.remainder(hi, TWO_PI)))
-        return _GapExtreme(min(ends) if want_min else max(ends), lo if lo_ok else hi, lo_ok or hi_ok)
+        return min(ends) if want_min else max(ends), lo if lo_ok else hi, lo_ok or hi_ok
     if (v_lo > v_hi) == want_min:
-        return _GapExtreme(abs(math.remainder(lo, TWO_PI)), lo, lo_ok)
-    return _GapExtreme(abs(math.remainder(hi, TWO_PI)), hi, hi_ok)
+        return abs(math.remainder(lo, TWO_PI)), lo, lo_ok
+    return abs(math.remainder(hi, TWO_PI)), hi, hi_ok
 
 
 def _sector_key(s: AnnularSector):
@@ -245,7 +232,14 @@ def _sector_key(s: AnnularSector):
     return (a.start, a.width, a.start_closed, a.end_closed)
 
 
-def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _PairAnalysis:
+def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
+    """(lo, hi, gap_min, gap_max, d_min, d_max, swapped) for a pair of sectors.
+
+    [lo, hi] is the unwrapped range of phi1 - phi2 over the pair in
+    canonical order (swapped when that order is (s2, s1)); gap_min and
+    gap_max are the _gap_extreme tuples that govern the distance minimum
+    d_min and maximum d_max.
+    """
     if s1.annulus != s2.annulus:
         raise ValueError("sectors belong to different annuli")
 
@@ -265,14 +259,10 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _Pa
 
     a = s1.annulus.inner_radius
     b = s1.annulus.outer_radius
-    s = math.sin(0.5 * gap_max.gap)
-    interval = DistanceInterval(
-        min=2.0 * a * math.sin(0.5 * gap_min.gap),
-        max=max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s)),
-        min_attained_interior=gap_min.attained,
-        max_attained_interior=gap_max.attained,
-    )
-    return _PairAnalysis(interval, arc1, arc2, lo, hi, gap_min, gap_max, swapped)
+    s = math.sin(0.5 * gap_max[0])
+    d_min = 2.0 * a * math.sin(0.5 * gap_min[0])
+    d_max = max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s))
+    return lo, hi, gap_min, gap_max, d_min, d_max, swapped
 
 
 def sector_distance_interval(
@@ -285,7 +275,8 @@ def sector_distance_interval(
     realized by some pair of closure points; the attainment flags report
     whether the extremes survive the open/closed endpoint flags.
     """
-    return _analyze_pair(s1, s2, tolerance).interval
+    _, _, gap_min, gap_max, d_min, d_max, _ = _analyze_pair(s1, s2, tolerance)
+    return DistanceInterval(d_min, d_max, gap_min[2], gap_max[2])
 
 
 def _pair_for_delta(arc1: AngularInterval, arc2: AngularInterval, delta: float) -> tuple[float, float]:
@@ -302,31 +293,32 @@ def _polar_point(rho: float, phi: float) -> Point:
     return (rho * math.cos(phi), rho * math.sin(phi))
 
 
-def _unit_chord_witness(analysis: _PairAnalysis, outer: float) -> tuple[Point, Point]:
+def _unit_chord_witness(
+    s1: AnnularSector, s2: AnnularSector, lo: float, hi: float, delta_at_extreme: float, swapped: bool
+) -> tuple[Point, Point]:
     """Pair 1 apart on one circle: directions d apart at radius 1/(2*|sin(d/2)|).
 
-    d is the point nearest the middle of the difference arc on its longest
-    piece at circular distance in [theta, pi], so both angles sit strictly
-    inside their arcs.  Without such a piece of positive length, d is an
-    attained extreme and the radius is capped at the outer one (distance 1
-    within the tolerance).
+    [lo, hi] and ``swapped`` are _analyze_pair's.  d is the point nearest
+    the middle of the difference arc on its longest piece at circular
+    distance in [theta, pi], so both angles sit strictly inside their arcs.
+    Without such a piece of positive length, d is ``delta_at_extreme``,
+    that of an attained extreme, and the radius is capped at the outer one
+    (distance 1 within the tolerance).
     """
-    lo, hi = analysis.lo, analysis.hi
+    outer = s1.annulus.outer_radius
     theta = unit_chord_angle(outer)
     turns = range(math.floor(lo / TWO_PI) - 1, math.ceil(hi / TWO_PI) + 1)
     start, end = max(
         ((max(lo, k * TWO_PI + theta), min(hi, (k + 1) * TWO_PI - theta)) for k in turns),
         key=lambda piece: piece[1] - piece[0],
     )
-    if end > start:
-        delta = min(max(0.5 * (lo + hi), start), end)
-    else:
-        delta = (analysis.gap_max if analysis.gap_max.attained else analysis.gap_min).delta
-    phi1, phi2 = _pair_for_delta(analysis.arc1, analysis.arc2, delta)
+    delta = min(max(0.5 * (lo + hi), start), end) if end > start else delta_at_extreme
+    arc1, arc2 = (s2.arc, s1.arc) if swapped else (s1.arc, s2.arc)
+    phi1, phi2 = _pair_for_delta(arc1, arc2, delta)
     half_chord = abs(math.sin(0.5 * (phi1 - phi2)))  # per unit radius
     rho = outer if 2.0 * outer * half_chord <= 1.0 else 0.5 / half_chord
     p, q = _polar_point(rho, phi1), _polar_point(rho, phi2)
-    return (q, p) if analysis.swapped else (p, q)
+    return (q, p) if swapped else (p, q)
 
 
 def contains_unit_pair(
@@ -341,14 +333,14 @@ def contains_unit_pair(
     closed-form: both points on the circle of radius 1/(2*sin(delta/2)),
     delta their angular distance.
     """
-    analysis = _analyze_pair(s1, s2, tolerance)
-    di = analysis.interval
-    if 1.0 < di.min - tolerance or 1.0 > di.max + tolerance:
+    lo, hi, gap_min, gap_max, d_min, d_max, swapped = _analyze_pair(s1, s2, tolerance)
+    if 1.0 < d_min - tolerance or 1.0 > d_max + tolerance:
         return False, None
     if (
-        di.min + tolerance < 1.0 < di.max - tolerance
-        or (abs(1.0 - di.min) <= tolerance and di.min_attained_interior)
-        or (abs(1.0 - di.max) <= tolerance and di.max_attained_interior)
+        d_min + tolerance < 1.0 < d_max - tolerance
+        or (abs(1.0 - d_min) <= tolerance and gap_min[2])
+        or (abs(1.0 - d_max) <= tolerance and gap_max[2])
     ):
-        return True, _unit_chord_witness(analysis, s1.annulus.outer_radius)
+        delta_at_extreme = (gap_max if gap_max[2] else gap_min)[1]
+        return True, _unit_chord_witness(s1, s2, lo, hi, delta_at_extreme, swapped)
     return False, None

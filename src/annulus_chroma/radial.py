@@ -69,6 +69,10 @@ def radial_chromatic_number(r: float) -> int:
 
 def _angles(boundaries) -> tuple[float, ...]:
     """The angles as floats, refusing any that is not a real number; float() would parse "0.5" and read True."""
+    try:
+        iter(boundaries)
+    except TypeError:
+        raise ValueError(f"boundaries must be an iterable of angles, got {boundaries!r}") from None
     bs = tuple(boundaries)
     types = set(map(type, bs))
     if types <= {float}:
@@ -90,6 +94,10 @@ def _angles(boundaries) -> tuple[float, ...]:
 
 def _color_ints(colors, name: str) -> tuple[int, ...]:
     """The colors as ints; int() would truncate 1.5 into another color class and parse "1", index() read True."""
+    try:
+        iter(colors)
+    except TypeError:
+        raise ValueError(f"{name}_colors must be an iterable of colors, got {colors!r}") from None
     cs = tuple(colors)
     if set(map(type, cs)) <= {int}:
         return cs

@@ -17,13 +17,16 @@ is found in the highest level that holds an uncolored one.
 
 UnitDistanceGraph alone checks edge lists; graph_from_json checks one the
 graph refuses against the schema, to name the bad element's position.
-schema.require_points checks the point list of a document.
+schema.require_points checks the point list of a document, and
+_float_points the points that build_udg and UnitDistanceGraph are given.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -57,10 +60,10 @@ class UnitDistanceGraph:
 
     An edge is a pair of distinct vertex indices in range(n), of any integer
     type but bool, stored as ints.  The tolerance must be finite and
-    nonnegative.  When points are present,
-    they must be finite and every edge must join a pair at distance 1
-    within the tolerance (the converse is enforced by build_udg, not by
-    the type).
+    nonnegative.  When points are present, they must be pairs of finite
+    real numbers (not bools or strings), stored as floats, and every edge
+    must join a pair at distance 1 within the tolerance (the converse is
+    enforced by build_udg, not by the type).
     """
 
     n: int
@@ -79,6 +82,10 @@ class UnitDistanceGraph:
         if edges is None:
             # A bad edge, an index that is not an int or a graph past the
             # solver's size: check edge by edge, which names the first bad one.
+            try:
+                iter(self.edges)
+            except TypeError:
+                raise ValueError(f"edges must be an iterable of vertex pairs, got {self.edges!r}") from None
             canonical = []
             seen = set()
             for edge in self.edges:
@@ -102,7 +109,7 @@ class UnitDistanceGraph:
             edges = tuple(sorted(canonical))
         object.__setattr__(self, "edges", edges)
         if self.points is not None:
-            pts = tuple((float(x), float(y)) for x, y in self.points)
+            pts = _float_points(self.points)
             object.__setattr__(self, "points", pts)
             if len(pts) != self.n:
                 raise ValueError(f"expected {self.n} points, got {len(pts)}")
@@ -144,9 +151,39 @@ def _shared_edges(n: int, edges) -> tuple[tuple[int, int], ...] | None:
     return tuple(pairs)
 
 
+def _float_points(points) -> tuple[Point, ...]:
+    """The points as float pairs, refusing a coordinate that is not a real number; float() would parse "0.5" and read True.
+
+    One bulk pass accepts lists or tuples of two ints or floats; only a list
+    it refuses is checked point by point, which names the first bad index.
+    """
+    try:
+        iter(points)
+    except TypeError:
+        raise ValueError(f"points must be an iterable of (x, y) pairs, got {points!r}") from None
+    pts = tuple(points)
+    if set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}:
+        if set(map(type, itertools.chain.from_iterable(pts))) <= {float, int}:
+            with contextlib.suppress(OverflowError):  # the loop names the first integer too large
+                return tuple((float(x), float(y)) for x, y in pts)
+    floats = []
+    for i, point in enumerate(pts):
+        try:
+            x, y = point
+        except (TypeError, ValueError):
+            x = y = None
+        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in (x, y)):
+            raise ValueError(f"point {i} must be a pair of real numbers, got {point!r}")
+        try:
+            floats.append((float(x), float(y)))
+        except OverflowError:
+            raise ValueError(f"point {i} must have finite coordinates, got an integer too large for a float") from None
+    return tuple(floats)
+
+
 def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> UnitDistanceGraph:
     """Graph whose edges are exactly the point pairs at distance 1 within tolerance."""
-    pts = [(float(x), float(y)) for x, y in points]
+    pts = _float_points(points)
     edges = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annulus_chroma.geometry import (
+    DEFAULT_TOLERANCE,
     AngularInterval,
     AnnularSector,
     Annulus,
@@ -15,6 +18,7 @@ from annulus_chroma.geometry import (
     sector_distance_interval,
     unit_chord_angle,
 )
+from annulus_chroma.radial import RadialColoring, verify_radial_coloring
 from oracles import (
     pairwise_extremes,
     random_point_in,
@@ -22,6 +26,7 @@ from oracles import (
     random_sector_pair,
     reference_contains_unit_pair,
     reference_sector_distance_interval,
+    reference_verify_radial_coloring,
     sampled_extremes,
 )
 
@@ -492,3 +497,86 @@ class TestReferencePairAnalysis:
             assert verdict == reference_contains_unit_pair(s1, s2, tol), (s1, s2, tol)
             positives += verdict[0]
         assert 2_000 < positives < 18_000
+
+
+TIE_RADII = (1e-9, 0.01, 0.1, 0.2, 0.3, 0.45, 0.49)
+
+
+def _bits(value):
+    """Floats as hex strings, also inside tuples and dataclasses, so == compares them to the last bit."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _gaps_at_theta(theta: float) -> tuple[float, float, float]:
+    return math.nextafter(theta, 0.0), theta, math.nextafter(theta, math.pi)
+
+
+def _gap_tie_pairs():
+    """(s1, s2): pairs whose largest circular gap is theta or 1 ulp either side, in every end combination.
+
+    s2 = [gap/2, gap] (gap/2 + gap/2 is exact) and s1 = [0, 0.25], or the
+    two rays at 0 and gap, so the difference arc starts at exactly -gap.
+    """
+    for r in TIE_RADII:
+        annulus = Annulus(r)
+        for gap in _gaps_at_theta(unit_chord_angle(annulus.outer_radius)):
+            yield AnnularSector.radial_segment(annulus, 0.0), AnnularSector.radial_segment(annulus, gap)
+            for flags1, flags2 in itertools.product(itertools.product((True, False), repeat=2), repeat=2):
+                yield AnnularSector.of(annulus, 0.0, 0.25, *flags1), AnnularSector.of(annulus, 0.5 * gap, 0.5 * gap, *flags2)
+
+
+class TestGapTies:
+    # Where the largest gap is theta, d_max is 1 up to rounding, and the
+    # attainment flags and the tolerance decide.  The reference computes the
+    # extremes through a^2 + b^2 - 2*a*b*cos, so they agree within an ulp of
+    # 1.  With a tolerance that absorbs the ulp, verdicts and witnesses are
+    # the reference's bit for bit; with none, a verdict rests on the last bit
+    # of d_max, which the two forms round apart.
+    @pytest.mark.parametrize("tolerance", [0.0, DEFAULT_TOLERANCE])
+    def test_same_as_the_reference(self, tolerance):
+        verdicts = {True: 0, False: 0}
+        for s1, s2 in _gap_tie_pairs():
+            for a, b in ((s1, s2), (s2, s1)):
+                got = sector_distance_interval(a, b, tolerance)
+                ref = reference_sector_distance_interval(a, b, tolerance)
+                assert (got.min_attained_interior, got.max_attained_interior) == (
+                    ref.min_attained_interior, ref.max_attained_interior), (a, b)
+                assert abs(got.min - ref.min) <= math.ulp(1.0) and abs(got.max - ref.max) <= math.ulp(1.0), (a, b)
+                found, witness = contains_unit_pair(a, b, tolerance)
+                verdicts[found] += 1
+                if tolerance or _bits(got) == _bits(ref):
+                    assert _bits((found, witness)) == _bits(reference_contains_unit_pair(a, b, tolerance)), (a, b)
+                if found and tolerance:
+                    assert a.contains(witness[0], tolerance) and b.contains(witness[1], tolerance)
+                    assert abs(math.dist(*witness) - 1.0) <= tolerance
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("tolerance", [0.0, DEFAULT_TOLERANCE])
+    def test_color_class_spanning_theta(self, tolerance):
+        # Colour 0 holds sectors (0, gap/2) and (gap/2, gap) and the ray
+        # between them, and each end ray when it takes colour 0, so the class
+        # spans exactly gap with either end open or closed.  The rest of the
+        # circle is cut into sectors narrower than theta, each in a colour of
+        # its own.
+        improper = 0
+        for r in TIE_RADII:
+            theta = unit_chord_angle(0.5 + r)
+            for gap in _gaps_at_theta(theta):
+                m = math.ceil((TWO_PI - gap) / (0.5 * theta))
+                rest = [gap + k * (TWO_PI - gap) / m for k in range(1, m)]
+                boundaries = [0.0, 0.5 * gap, gap, *rest]
+                sectors = [0, 0, *range(1, m + 1)]
+                for ray_at_0, ray_at_gap in itertools.product((0, m), (0, 1)):
+                    rays = [ray_at_0, 0, ray_at_gap, *range(2, m + 1)]
+                    coloring = RadialColoring(Annulus(r), boundaries, sectors, rays)
+                    got = verify_radial_coloring(coloring, tolerance)
+                    ref = reference_verify_radial_coloring(coloring, tolerance)
+                    assert _bits(got) == _bits(ref), (r, gap, rays)
+                    improper += not got.proper
+        assert improper > 0

@@ -439,6 +439,17 @@ class TestStructure:
             RadialColoring(Annulus(0.1), boundaries, sectors, rays)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("boundaries, sectors, rays, message", [
+        (5, (0,), (0,), "boundaries must be an iterable of angles, got 5"),
+        ((0.0,), 0, (0,), "sector_colors must be an iterable of colors, got 0"),
+        ((0.0,), (0,), None, "boundary_colors must be an iterable of colors, got None"),
+    ], ids=["boundaries", "sector-colors", "boundary-colors"])
+    def test_non_iterable_list_rejected(self, boundaries, sectors, rays, message):
+        # These raised TypeError: "'int' object is not iterable".
+        with pytest.raises(ValueError) as exc:
+            RadialColoring(Annulus(0.1), boundaries, sectors, rays)
+        assert str(exc.value) == message
+
     def test_numpy_boundaries_stored_as_floats(self):
         c = RadialColoring(Annulus(0.2), (np.int64(0), np.float64(1.5), np.float32(2.5)), (0, 1, 2), (2, 0, 1))
         assert c.boundaries == (0.0, 1.5, 2.5)

@@ -69,6 +69,35 @@ class TestBuildUdg:
         assert build_udg(pts, 1e-9).edges == ()
         assert build_udg(pts, 1e-3).edges == ((0, 1),)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([("0", "0"), ("1", True)], "point 0 must be a pair of real numbers, got ('0', '0')"),
+            ([(0.0, 0.0), (1, True)], "point 1 must be a pair of real numbers, got (1, True)"),
+            ([(0.0, 0.0), [False, 0.0]], "point 1 must be a pair of real numbers, got [False, 0.0]"),
+            ([(0.0, 0.0), (None, 0.0)], "point 1 must be a pair of real numbers, got (None, 0.0)"),
+            ([(0.0, 0.0), (1.0, 0.0, 0.0)], "point 1 must be a pair of real numbers, got (1.0, 0.0, 0.0)"),
+            ([(0.0, 0.0), 5], "point 1 must be a pair of real numbers, got 5"),
+            ([(0.0, 0.0), "ab"], "point 1 must be a pair of real numbers, got 'ab'"),
+            ([(0.0, 0.0), (10**400, 0)], "point 1 must have finite coordinates, got an integer too large for a float"),
+        ],
+        ids=["strings", "bool", "late-bool-list", "none", "triple", "int", "string", "huge-int"],
+    )
+    def test_non_number_coordinate_rejected(self, points, message):
+        # float() used to parse "0" and read True as 1.0, so these built graphs.
+        with pytest.raises(ValueError) as exc:
+            build_udg(points)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            UnitDistanceGraph(len(points), [], points)
+        assert str(exc.value) == message
+
+    def test_numpy_and_integer_coordinates_accepted(self):
+        expected = build_udg([(0.0, 0.0), (1.0, 0.0)])
+        assert build_udg([(0, 0), [1, 0]]) == expected
+        assert build_udg(np.array([[0.0, 0.0], [1.0, 0.0]])) == expected
+        assert all(type(c) is float for p in build_udg(np.array([[0, 0], [1, 0]])).points for c in p)
+
 
 class TestGraphStructure:
     def test_self_loop_rejected(self):
@@ -128,6 +157,22 @@ class TestGraphStructure:
         # Such an edge used to be stored, and the solver then raised TypeError.
         with pytest.raises(ValueError) as exc:
             UnitDistanceGraph(n, edges)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: UnitDistanceGraph(3, 5), "edges must be an iterable of vertex pairs, got 5"),
+            (lambda: UnitDistanceGraph(MAX_VERTICES + 1, None), "edges must be an iterable of vertex pairs, got None"),
+            (lambda: UnitDistanceGraph(2, [], 5), "points must be an iterable of (x, y) pairs, got 5"),
+            (lambda: build_udg(5), "points must be an iterable of (x, y) pairs, got 5"),
+        ],
+        ids=["edges", "edges-oversize", "points", "build-points"],
+    )
+    def test_non_iterable_list_rejected(self, make, message):
+        # These raised TypeError: "'int' object is not iterable".
+        with pytest.raises(ValueError) as exc:
+            make()
         assert str(exc.value) == message
 
     def test_numpy_integer_edges_stored_as_ints(self):
