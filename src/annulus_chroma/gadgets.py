@@ -14,15 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Annulus, Point, TWO_PI, unit_chord_angle
+from .geometry import DEFAULT_TOLERANCE, Annulus, Point, TWO_PI, unit_chord_angle
 from .radial import thresholds
 from .udg import UnitDistanceGraph
 
 # Half-width above which the gadget fits strictly inside the annulus: T3.
 TRI_ROD_THRESHOLD = thresholds()[0].max_r
 SPINDLE_THRESHOLD = 3.0 / math.sqrt(11.0) - 0.5
-
-EDGE_TOLERANCE = 1e-9
 
 # Angle between the two rhombus axes that puts the far apexes (both at
 # distance sqrt(3) from the hub) at distance exactly 1.
@@ -69,7 +67,7 @@ class GadgetEmbedding:
 
     margin is the signed minimal clearance of any vertex from the two
     annulus circles; interior embeddings have margin > 0.  Vertices and
-    edges are checked as a UnitDistanceGraph at EDGE_TOLERANCE, whose
+    edges are checked as a UnitDistanceGraph at DEFAULT_TOLERANCE, whose
     canonical edges the embedding keeps.
     """
 
@@ -82,7 +80,7 @@ class GadgetEmbedding:
     def __post_init__(self) -> None:
         if self.kind not in GADGET_KINDS:
             raise ValueError(f"unknown gadget kind {self.kind!r}")
-        graph = UnitDistanceGraph(len(self.vertices), self.edges, self.vertices, EDGE_TOLERANCE)
+        graph = UnitDistanceGraph(len(self.vertices), self.edges, self.vertices, DEFAULT_TOLERANCE)
         object.__setattr__(self, "vertices", graph.points)
         object.__setattr__(self, "edges", graph.edges)
         self._check_shape()

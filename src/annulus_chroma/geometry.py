@@ -1,6 +1,6 @@
-"""Exact planar geometry of annuli, angular intervals, and distances between sectors.
+"""Exact planar geometry of annuli, their sectors, and distances between sectors.
 
-All angles are radians, normalized to [0, 2*pi). Angular intervals carry
+All angles are radians, normalized to [0, 2*pi). Sector arcs carry
 explicit open/closed endpoint flags because colorings assign boundary rays
 to one adjacent sector; treating everything as closed would reject valid
 colorings whose extreme chords sit exactly on an excluded boundary.
@@ -60,15 +60,17 @@ class Annulus:
 
 
 @dataclass(frozen=True)
-class AngularInterval:
-    """Arc of directions [start, start + width] with per-endpoint open/closed flags.
+class AnnularSector:
+    """Annulus points whose direction lies in the arc [start, start + width].
 
-    width == 0 is the degenerate single-direction case and requires both
-    endpoints closed.  width == 2*pi is the full circle; both flags are
-    then ignored.  Membership is invariant under adding multiples of 2*pi
-    to the query angle.  start must be finite (see normalize_angle).
+    The arc's ends carry open/closed flags.  width == 0 is a radial segment
+    (one ray's part of the annulus) and requires both ends closed.  width ==
+    2*pi is the whole annulus; both flags are then ignored.  Membership is
+    invariant under adding multiples of 2*pi to a direction.  start must be
+    finite (see normalize_angle).
     """
 
+    annulus: Annulus
     start: float
     width: float
     start_closed: bool = True
@@ -81,45 +83,18 @@ class AngularInterval:
             raise ValueError("zero-width interval must be closed at both endpoints")
         object.__setattr__(self, "start", normalize_angle(self.start))
 
-    def contains(self, angle: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        """Whether the direction lies in the arc; the tolerance widens closed ends only."""
+    def contains(self, point: Point, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+        """Whether the point lies in the sector; the tolerance widens the annulus and closed arc ends only."""
+        if not self.annulus.contains(point, tolerance):
+            return False
         if self.width >= TWO_PI:
             return True
-        t = normalize_angle(angle - self.start)
+        t = normalize_angle(math.atan2(point[1], point[0]) - self.start)
         if self.start_closed and (t <= tolerance or t >= TWO_PI - tolerance):
             return True
         if self.end_closed and abs(t - self.width) <= tolerance:
             return True
         return 0.0 < t < self.width
-
-
-@dataclass(frozen=True)
-class AnnularSector:
-    """Intersection of an annulus with an angular interval (full radial extent)."""
-
-    annulus: Annulus
-    arc: AngularInterval
-
-    @classmethod
-    def of(
-        cls,
-        annulus: Annulus,
-        start: float,
-        width: float,
-        start_closed: bool = True,
-        end_closed: bool = True,
-    ) -> "AnnularSector":
-        return cls(annulus, AngularInterval(start, width, start_closed, end_closed))
-
-    @classmethod
-    def radial_segment(cls, annulus: Annulus, angle: float) -> "AnnularSector":
-        """Degenerate sector: the intersection of one ray with the annulus."""
-        return cls(annulus, AngularInterval(angle, 0.0, True, True))
-
-    def contains(self, point: Point, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        if not self.annulus.contains(point, tolerance):
-            return False
-        return self.arc.contains(math.atan2(point[1], point[0]), tolerance)
 
 
 @dataclass(frozen=True)
@@ -228,8 +203,7 @@ def _gap_extreme(
 
 
 def _sector_key(s: AnnularSector):
-    a = s.arc
-    return (a.start, a.width, a.start_closed, a.end_closed)
+    return (s.start, s.width, s.start_closed, s.end_closed)
 
 
 def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
@@ -245,15 +219,15 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
 
     # Canonical operand order makes the result exactly symmetric in (s1, s2).
     swapped = _sector_key(s2) < _sector_key(s1)
-    arc1, arc2 = (s2.arc, s1.arc) if swapped else (s1.arc, s2.arc)
+    c1, c2 = (s2, s1) if swapped else (s1, s2)
 
-    lo = arc1.start - (arc2.start + arc2.width)
-    hi = (arc1.start + arc1.width) - arc2.start
-    if arc1.width >= TWO_PI or arc2.width >= TWO_PI:
+    lo = c1.start - (c2.start + c2.width)
+    hi = (c1.start + c1.width) - c2.start
+    if c1.width >= TWO_PI or c2.width >= TWO_PI:
         lo_ok = hi_ok = True
     else:
-        lo_ok = arc1.start_closed and arc2.end_closed
-        hi_ok = arc1.end_closed and arc2.start_closed
+        lo_ok = c1.start_closed and c2.end_closed
+        hi_ok = c1.end_closed and c2.start_closed
     gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
     gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
 
@@ -279,10 +253,10 @@ def sector_distance_interval(
     return DistanceInterval(d_min, d_max, gap_min[2], gap_max[2])
 
 
-def _pair_for_delta(arc1: AngularInterval, arc2: AngularInterval, delta: float) -> tuple[float, float]:
+def _pair_for_delta(s1: AnnularSector, s2: AnnularSector, delta: float) -> tuple[float, float]:
     """Angles (phi1, phi2), unwrapped within the arcs, with phi1 - phi2 = delta in [lo, hi]."""
-    u0, w1 = arc1.start, arc1.width
-    v0, w2 = arc2.start, arc2.width
+    u0, w1 = s1.start, s1.width
+    v0, w2 = s2.start, s2.width
     phi2_lo = max(v0, u0 - delta)
     phi2_hi = min(v0 + w2, u0 + w1 - delta)
     phi2 = 0.5 * (phi2_lo + phi2_hi)
@@ -313,8 +287,8 @@ def _unit_chord_witness(
         key=lambda piece: piece[1] - piece[0],
     )
     delta = min(max(0.5 * (lo + hi), start), end) if end > start else delta_at_extreme
-    arc1, arc2 = (s2.arc, s1.arc) if swapped else (s1.arc, s2.arc)
-    phi1, phi2 = _pair_for_delta(arc1, arc2, delta)
+    c1, c2 = (s2, s1) if swapped else (s1, s2)
+    phi1, phi2 = _pair_for_delta(c1, c2, delta)
     half_chord = abs(math.sin(0.5 * (phi1 - phi2)))  # per unit radius
     rho = outer if 2.0 * outer * half_chord <= 1.0 else 0.5 / half_chord
     p, q = _polar_point(rho, phi1), _polar_point(rho, phi2)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .geometry import (
     DEFAULT_TOLERANCE,
     TWO_PI,
-    AngularInterval,
     AnnularSector,
     Annulus,
     Point,
@@ -161,11 +160,10 @@ class RadialColoring:
 
     def sector(self, i: int) -> AnnularSector:
         """Open sector between boundary rays i and i+1 (full circle minus the ray when n == 1)."""
-        arc = AngularInterval(self.boundaries[i], self.sector_width(i), False, False)
-        return AnnularSector(self.annulus, arc)
+        return AnnularSector(self.annulus, self.boundaries[i], self.sector_width(i), False, False)
 
     def boundary_segment(self, i: int) -> AnnularSector:
-        return AnnularSector.radial_segment(self.annulus, self.boundaries[i])
+        return AnnularSector(self.annulus, self.boundaries[i], 0.0)
 
     def colors_used(self) -> list[int]:
         return sorted(set(self.sector_colors) | set(self.boundary_colors))

@@ -2,22 +2,23 @@
 
 Validation errors carry the position of the offending value (dotted path
 with list indices) so malformed documents are diagnosable.  An edge or
-coloring list is checked by the constructor that stores it; the loaders
-check it element by element here only when the constructor refuses it, to
-name the first bad element.  A point list is checked here, by
-require_points, so solve can refuse it for size before build_udg.
+coloring list is checked by the constructor that stores it, and a point
+list by the converter that stores it (udg._float_points); the loaders check
+a list element by element here only when that code refuses it, to name the
+first bad element.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from itertools import chain
 from typing import Iterable
 
 # Widest geometric tolerance accepted from outside the program: beyond it a
 # "unit distance" could be off by more than any rounding error explains.
 MAX_TOLERANCE = 1e-3
+# Narrowest one: below it a pair verdict on a gap within an ulp of theta rests
+# on the last bit of a rounded distance, and its witness can fail its check.
+_MIN_TOLERANCE = 1e-15
 
 
 class SchemaError(ValueError):
@@ -37,10 +38,10 @@ def require_number(value, where: str) -> float:
 
 
 def require_tolerance(value, where: str) -> float:
-    """A finite geometric tolerance with 0 < tolerance <= MAX_TOLERANCE."""
+    """A finite geometric tolerance with 1e-15 <= tolerance <= MAX_TOLERANCE."""
     value = require_number(value, where)
-    if not 0.0 < value <= MAX_TOLERANCE:
-        raise SchemaError(f"{where}: tolerance must be positive and at most {MAX_TOLERANCE}, got {value}")
+    if not _MIN_TOLERANCE <= value <= MAX_TOLERANCE:
+        raise SchemaError(f"{where}: tolerance must be positive, from {_MIN_TOLERANCE} to {MAX_TOLERANCE}, got {value}")
     return value
 
 
@@ -48,22 +49,6 @@ def require_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")
     return value
-
-
-def require_points(value, where: str) -> list[tuple[float, float]]:
-    """A list of [x, y] points, as float pairs; errors name the first bad point like require_point.
-
-    Only a list that a bulk pass over exact types refuses is checked point by point.
-    """
-    points = require_list(value, where)
-    if set(map(type, points)) <= {list} and set(map(len, points)) <= {2}:
-        flat = list(chain.from_iterable(points))
-        if set(map(type, flat)) <= {float, int}:
-            with contextlib.suppress(OverflowError):  # the per-point checks name the first integer too large
-                flat = list(map(float, flat))
-                if all(map(math.isfinite, flat)):
-                    return list(zip(flat[::2], flat[1::2]))
-    return [require_point(p, f"{where}[{i}]") for i, p in enumerate(points)]
 
 
 def require_list(value, where: str) -> list:

@@ -15,10 +15,10 @@ distinct colors.  Painting a vertex moves the neighbours its color newly
 reaches up one level with one AND per level in use, and the next vertex
 is found in the highest level that holds an uncolored one.
 
-UnitDistanceGraph alone checks edge lists; graph_from_json checks one the
-graph refuses against the schema, to name the bad element's position.
-schema.require_points checks the point list of a document, and
-_float_points the points that build_udg and UnitDistanceGraph are given.
+UnitDistanceGraph alone checks edge lists, and _float_points the points
+that graph_from_json, build_udg and UnitDistanceGraph are given;
+graph_from_json checks a list they refuse against the schema, to name the
+bad element's position.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .schema import (
     require_int,
     require_keys,
     require_list,
-    require_points,
+    require_point,
     require_tolerance,
 )
 
@@ -113,9 +113,6 @@ class UnitDistanceGraph:
             object.__setattr__(self, "points", pts)
             if len(pts) != self.n:
                 raise ValueError(f"expected {self.n} points, got {len(pts)}")
-            for i, (x, y) in enumerate(pts):
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"point {i} must have finite coordinates, got ({x}, {y})")
             for i, j in self.edges:
                 d = math.dist(pts[i], pts[j])
                 if not abs(d - 1.0) <= self.tolerance:  # NaN fails too
@@ -152,10 +149,11 @@ def _shared_edges(n: int, edges) -> tuple[tuple[int, int], ...] | None:
 
 
 def _float_points(points) -> tuple[Point, ...]:
-    """The points as float pairs, refusing a coordinate that is not a real number; float() would parse "0.5" and read True.
+    """The points as float pairs, refusing a coordinate that is not a finite real number; float() would parse "0.5" and read True.
 
-    One bulk pass accepts lists or tuples of two ints or floats; only a list
-    it refuses is checked point by point, which names the first bad index.
+    One bulk pass accepts lists or tuples of two ints or floats, all finite;
+    only a list it refuses is checked point by point, which names the first
+    bad index.
     """
     try:
         iter(points)
@@ -163,9 +161,12 @@ def _float_points(points) -> tuple[Point, ...]:
         raise ValueError(f"points must be an iterable of (x, y) pairs, got {points!r}") from None
     pts = tuple(points)
     if set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}:
-        if set(map(type, itertools.chain.from_iterable(pts))) <= {float, int}:
+        flat = list(itertools.chain.from_iterable(pts))
+        if set(map(type, flat)) <= {float, int}:
             with contextlib.suppress(OverflowError):  # the loop names the first integer too large
-                return tuple((float(x), float(y)) for x, y in pts)
+                flat = list(map(float, flat))
+                if all(map(math.isfinite, flat)):
+                    return tuple(zip(flat[::2], flat[1::2]))
     floats = []
     for i, point in enumerate(pts):
         try:
@@ -175,9 +176,12 @@ def _float_points(points) -> tuple[Point, ...]:
         if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in (x, y)):
             raise ValueError(f"point {i} must be a pair of real numbers, got {point!r}")
         try:
-            floats.append((float(x), float(y)))
+            x, y = float(x), float(y)
         except OverflowError:
             raise ValueError(f"point {i} must have finite coordinates, got an integer too large for a float") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point {i} must have finite coordinates, got ({x}, {y})")
+        floats.append((x, y))
     return tuple(floats)
 
 
@@ -338,9 +342,9 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
 def graph_from_json(data: dict) -> UnitDistanceGraph:
     """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}.
 
-    schema.require_points checks a point list, and UnitDistanceGraph an
-    edge list.  Only an edge list it refuses is checked against the schema
-    pair by pair, so a SchemaError names the first bad element's position.
+    _float_points checks a point list, and UnitDistanceGraph an edge list.
+    Only a list they refuse is checked against the schema element by
+    element, so a SchemaError names the first bad element's position.
     """
     _, build = _read_graph_json(data)
     return build()
@@ -356,7 +360,15 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
     """
     if isinstance(data, dict) and "points" in data:
         require_keys(data, ("points",), "graph", optional=("tolerance",))
-        pts = require_points(data["points"], "graph.points")
+        points = require_list(data["points"], "graph.points")
+        try:
+            if not all(isinstance(p, list) for p in points):
+                raise ValueError("a point is not a JSON array")  # the checks below name it
+            pts = _float_points(points)
+        except ValueError as exc:
+            for i, p in enumerate(points):
+                require_point(p, f"graph.points[{i}]")
+            raise SchemaError(f"graph: {exc}") from exc
         tolerance = require_tolerance(data.get("tolerance", DEFAULT_TOLERANCE), "graph.tolerance")
         if not pts:
             raise SchemaError("graph.points: must not be empty")

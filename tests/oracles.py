@@ -20,7 +20,6 @@ import numpy as np
 
 from annulus_chroma.geometry import (
     DEFAULT_TOLERANCE,
-    AngularInterval,
     Annulus,
     AnnularSector,
     DistanceInterval,
@@ -44,10 +43,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def angle_grid(sector: AnnularSector, n_angles: int) -> np.ndarray:
-    arc = sector.arc
-    if arc.width == 0.0:
-        return np.array([arc.start])
-    return arc.start + np.linspace(0.0, arc.width, n_angles)
+    if sector.width == 0.0:
+        return np.array([sector.start])
+    return sector.start + np.linspace(0.0, sector.width, n_angles)
 
 
 def radius_grid(sector: AnnularSector, n_radii: int) -> np.ndarray:
@@ -73,12 +71,12 @@ def _augmented_angles(sector: AnnularSector, other: AnnularSector, n_angles: int
     """
     base = angle_grid(sector, n_angles)
     extras = []
-    other_end = other.arc.start + other.arc.width
-    for t in (other.arc.start, other_end):
+    other_end = other.start + other.width
+    for t in (other.start, other_end):
         for shift in (0.0, math.pi, -math.pi):
-            u = (t + shift - sector.arc.start) % TWO_PI
-            if u <= sector.arc.width:
-                extras.append(sector.arc.start + u)
+            u = (t + shift - sector.start) % TWO_PI
+            if u <= sector.width:
+                extras.append(sector.start + u)
     if not extras:
         return base
     return np.concatenate([base, np.array(extras)])
@@ -124,17 +122,17 @@ def random_sector(
     rng: random.Random, annulus: Annulus, closed: bool = True, allow_degenerate: bool = True
 ) -> AnnularSector:
     if allow_degenerate and rng.random() < 0.1:
-        return AnnularSector.radial_segment(annulus, rng.uniform(0.0, TWO_PI))
+        return AnnularSector(annulus, rng.uniform(0.0, TWO_PI), 0.0)
     start = rng.uniform(0.0, TWO_PI)
     width = rng.uniform(1e-3, TWO_PI)
     if closed:
-        return AnnularSector.of(annulus, start, width, True, True)
-    return AnnularSector.of(annulus, start, width, rng.random() < 0.5, rng.random() < 0.5)
+        return AnnularSector(annulus, start, width, True, True)
+    return AnnularSector(annulus, start, width, rng.random() < 0.5, rng.random() < 0.5)
 
 
 def random_point_in(sector: AnnularSector, rng: random.Random) -> tuple[float, float]:
     """Uniform in (angle, radius) parameter space over the closure."""
-    phi = sector.arc.start + rng.uniform(0.0, sector.arc.width)
+    phi = sector.start + rng.uniform(0.0, sector.width)
     rho = rng.uniform(sector.annulus.inner_radius, sector.annulus.outer_radius)
     return (rho * math.cos(phi), rho * math.sin(phi))
 
@@ -505,14 +503,14 @@ class _ReferenceAngleExtreme:
 @dataclass(frozen=True)
 class _ReferencePairAnalysis:
     interval: DistanceInterval
-    arc1: AngularInterval
-    arc2: AngularInterval
+    arc1: AnnularSector
+    arc2: AnnularSector
     cos_max: _ReferenceAngleExtreme
     cos_min: _ReferenceAngleExtreme
     swapped: bool
 
 
-def _reference_difference_arc(arc1: AngularInterval, arc2: AngularInterval):
+def _reference_difference_arc(arc1: AnnularSector, arc2: AnnularSector):
     lo = arc1.start - (arc2.start + arc2.width)
     hi = (arc1.start + arc1.width) - arc2.start
     lo_ok = arc1.start_closed and arc2.end_closed
@@ -525,8 +523,8 @@ def _reference_difference_arc(arc1: AngularInterval, arc2: AngularInterval):
 
 
 def _reference_cos_extreme(
-    arc1: AngularInterval,
-    arc2: AngularInterval,
+    arc1: AnnularSector,
+    arc2: AnnularSector,
     target: float,
     want_max: bool,
     tolerance: float,
@@ -572,8 +570,7 @@ def _reference_dist_sq(r1: float, r2: float, c: float) -> float:
 
 
 def _reference_sector_key(s: AnnularSector):
-    a = s.arc
-    return (a.start, a.width, a.start_closed, a.end_closed)
+    return (s.start, s.width, s.start_closed, s.end_closed)
 
 
 def _reference_analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float) -> _ReferencePairAnalysis:
@@ -581,7 +578,7 @@ def _reference_analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: flo
         raise ValueError("sectors belong to different annuli")
 
     swapped = _reference_sector_key(s2) < _reference_sector_key(s1)
-    arc1, arc2 = (s2.arc, s1.arc) if swapped else (s1.arc, s2.arc)
+    arc1, arc2 = (s2, s1) if swapped else (s1, s2)
 
     cos_max = _reference_cos_extreme(arc1, arc2, 0.0, want_max=True, tolerance=tolerance)
     cos_min = _reference_cos_extreme(arc1, arc2, math.pi, want_max=False, tolerance=tolerance)
@@ -619,7 +616,7 @@ def reference_sector_distance_interval(
     return _reference_analyze_pair(s1, s2, tolerance).interval
 
 
-def _reference_pair_for_delta(arc1: AngularInterval, arc2: AngularInterval, delta: float) -> tuple[float, float]:
+def _reference_pair_for_delta(arc1: AnnularSector, arc2: AnnularSector, delta: float) -> tuple[float, float]:
     u0, w1 = arc1.start, arc1.width
     v0, w2 = arc2.start, arc2.width
     phi2_lo = max(v0, u0 - delta)
@@ -683,7 +680,7 @@ def random_sector_pair(rng: random.Random) -> tuple[AnnularSector, AnnularSector
     def piece(start: float) -> AnnularSector:
         kind = rng.randrange(5)
         if kind == 0:
-            return AnnularSector.radial_segment(annulus, start)
+            return AnnularSector(annulus, start, 0.0)
         if kind == 1:
             width = theta + jitter
         elif kind == 2:
@@ -693,10 +690,10 @@ def random_sector_pair(rng: random.Random) -> tuple[AnnularSector, AnnularSector
         else:
             width = rng.uniform(0.0, TWO_PI)
         width = min(max(width, 1e-15), TWO_PI)
-        return AnnularSector.of(annulus, start, width, rng.random() < 0.5, rng.random() < 0.5)
+        return AnnularSector(annulus, start, width, rng.random() < 0.5, rng.random() < 0.5)
 
     s1 = piece(rng.uniform(0.0, TWO_PI))
-    anchor = s1.arc.start + rng.choice((0.0, s1.arc.width))
+    anchor = s1.start + rng.choice((0.0, s1.width))
     offset = rng.choice((None, 0.0, theta, math.pi, -theta))
     s2 = piece(rng.uniform(0.0, TWO_PI) if offset is None else anchor + offset + jitter)
     return s1, s2, tolerance

@@ -13,6 +13,7 @@ import annulus_chroma
 from annulus_chroma import cli
 from annulus_chroma.cli import main
 from annulus_chroma.gadgets import ODD_CYCLE_THRESHOLD, SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
+from annulus_chroma.geometry import unit_chord_angle
 from annulus_chroma.radial import VerificationResult, coloring_from_json, thresholds, verify_radial_coloring
 
 
@@ -346,7 +347,7 @@ def improper_coloring_file(capsys, tmp_path):
 
 
 class TestToleranceHandling:
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1e-2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1e-2", "1e-16"])
     def test_absurd_flag_gives_no_verdict(self, capsys, tmp_path, value):
         path = improper_coloring_file(capsys, tmp_path)
         code, out, err = run(capsys, "verify", str(path), "--tolerance", value)
@@ -362,6 +363,27 @@ class TestToleranceHandling:
         assert code == 2
         assert out == ""
         assert "ANNULUS_CHROMA_TOLERANCE" in err
+
+    def test_floor_keeps_tie_witnesses_checkable(self, capsys, tmp_path, monkeypatch):
+        # Colour 0 spans the open arc (0, theta + 1 ulp) at r = 0.49; the rest
+        # is cut into sectors narrower than theta, each in a colour of its own.
+        # Below 1e-15 the pair verdict on it rests on the last bit of d_max,
+        # and its witness can fail the independent check (exit 3).
+        r = 0.49
+        gap = math.nextafter(unit_chord_angle(0.5 + r), 4.0)
+        m = math.ceil((2.0 * math.pi - gap) / (0.5 * gap))
+        rest = [gap + k * (2.0 * math.pi - gap) / m for k in range(1, m)]
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"r": r, "boundaries": [0.0, 0.5 * gap, gap, *rest],
+                                    "sector_colors": [0, 0, *range(1, m + 1)],
+                                    "boundary_colors": [m, 0, *range(1, m + 1)]}))
+        code, out, err = run(capsys, "verify", str(path), "--tolerance", "1e-16")
+        assert (code, out) == (2, "") and "--tolerance" in err
+        monkeypatch.setenv("ANNULUS_CHROMA_TOLERANCE", "1e-16")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "") and "ANNULUS_CHROMA_TOLERANCE" in err
+        code, _, err = run(capsys, "verify", str(path), "--tolerance", "1e-15")
+        assert code in (0, 1), err
 
     def test_negative_flag_rejected(self, capsys, tmp_path):
         path = tmp_path / "coloring.json"

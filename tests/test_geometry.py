@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from annulus_chroma.geometry import (
     DEFAULT_TOLERANCE,
-    AngularInterval,
     AnnularSector,
     Annulus,
     TWO_PI,
@@ -56,43 +55,57 @@ class TestAnnulus:
         assert not a.contains((0.0, 0.61))
 
 
-class TestAngularInterval:
+def on_mid_circle(angle: float) -> tuple[float, float]:
+    """The point at radius 1/2, inside every annulus, in the given direction."""
+    return (0.5 * math.cos(angle), 0.5 * math.sin(angle))
+
+
+EAST, NORTH = (0.5, 0.0), (0.0, 0.5)  # atan2 reads these as exactly 0 and the float pi/2
+
+
+class TestAnnularSector:
+    annulus = Annulus(0.3)
+
     def test_membership_flags(self):
-        arc = AngularInterval(1.0, 0.5, start_closed=True, end_closed=False)
-        assert arc.contains(1.0)
-        assert arc.contains(1.25)
-        assert not arc.contains(1.5)
-        assert not arc.contains(0.9)
+        s = AnnularSector(self.annulus, 0.0, math.pi / 2.0, start_closed=True, end_closed=False)
+        assert math.atan2(NORTH[1], NORTH[0]) == math.pi / 2.0
+        assert s.contains(EAST)
+        assert s.contains(on_mid_circle(math.pi / 4.0))
+        assert not s.contains(NORTH)
+        assert not s.contains(on_mid_circle(-0.1))
 
     def test_wraparound(self):
-        arc = AngularInterval(6.0, 1.0)
-        assert arc.contains(6.2)
-        assert arc.contains(0.2)  # 6.0 + 1.0 passes 2*pi
-        assert not arc.contains(1.5)
+        s = AnnularSector(self.annulus, 6.0, 1.0)
+        assert s.contains(on_mid_circle(6.2))
+        assert s.contains(on_mid_circle(0.2))  # 6.0 + 1.0 passes 2*pi
+        assert not s.contains(on_mid_circle(1.5))
 
     def test_tolerance_widens_closed_ends_only(self):
         tol = 1e-6
-        open_arc = AngularInterval(1.0, 0.5, start_closed=False, end_closed=False)
-        assert not open_arc.contains(1.0, tol) and not open_arc.contains(1.5, tol)
-        assert open_arc.contains(1.0 + tol / 2.0, tol) and open_arc.contains(1.5 - tol / 2.0, tol)
-        assert not open_arc.contains(1.0 - tol / 2.0, tol) and not open_arc.contains(1.5 + tol / 2.0, tol)
-        closed_arc = AngularInterval(1.0, 0.5)
-        assert closed_arc.contains(1.0 - tol / 2.0, tol) and closed_arc.contains(1.5 + tol / 2.0, tol)
+        open_sector = AnnularSector(self.annulus, 0.0, math.pi / 2.0, start_closed=False, end_closed=False)
+        assert not open_sector.contains(EAST, tol) and not open_sector.contains(NORTH, tol)
+        assert open_sector.contains(on_mid_circle(tol / 2.0), tol)
+        assert open_sector.contains(on_mid_circle(math.pi / 2.0 - tol / 2.0), tol)
+        assert not open_sector.contains(on_mid_circle(-tol / 2.0), tol)
+        assert not open_sector.contains(on_mid_circle(math.pi / 2.0 + tol / 2.0), tol)
+        closed_sector = AnnularSector(self.annulus, 0.0, math.pi / 2.0)
+        assert closed_sector.contains(on_mid_circle(-tol / 2.0), tol)
+        assert closed_sector.contains(on_mid_circle(math.pi / 2.0 + tol / 2.0), tol)
 
     def test_full_circle_ignores_flags(self):
-        arc = AngularInterval(0.3, TWO_PI, start_closed=False, end_closed=False)
+        s = AnnularSector(self.annulus, 0.3, TWO_PI, start_closed=False, end_closed=False)
         for q in (0.0, 0.3, 3.0, 6.2):
-            assert arc.contains(q)
+            assert s.contains(on_mid_circle(q))
 
     def test_zero_width_must_be_closed(self):
-        AngularInterval(1.0, 0.0)
+        assert AnnularSector(self.annulus, 1.0, 0.0).contains(on_mid_circle(1.0))
         with pytest.raises(ValueError):
-            AngularInterval(1.0, 0.0, start_closed=False)
+            AnnularSector(self.annulus, 1.0, 0.0, start_closed=False)
 
     @pytest.mark.parametrize("width", [-0.1, TWO_PI + 0.1])
     def test_width_domain(self, width):
         with pytest.raises(ValueError):
-            AngularInterval(0.0, width)
+            AnnularSector(self.annulus, 0.0, width)
 
     @given(
         start=st.floats(0.0, TWO_PI - 1e-9),
@@ -101,11 +114,11 @@ class TestAngularInterval:
     )
     @settings(max_examples=150)
     def test_membership_mod_two_pi(self, start, width, f):
-        arc = AngularInterval(start, width, False, False)
+        s = AnnularSector(self.annulus, start, width, False, False)
         q = start + f * width
-        assert arc.contains(q)
-        assert arc.contains(q + TWO_PI)
-        assert arc.contains(q - TWO_PI)
+        assert s.contains(on_mid_circle(q))
+        assert s.contains(on_mid_circle(q + TWO_PI))
+        assert s.contains(on_mid_circle(q - TWO_PI))
 
     def test_normalize_angle(self):
         assert normalize_angle(TWO_PI) == 0.0
@@ -118,9 +131,9 @@ class TestAngularInterval:
         with pytest.raises(ValueError, match="finite"):
             normalize_angle(start)
         with pytest.raises(ValueError, match="finite"):
-            AngularInterval(start, 1.0)
+            AnnularSector(self.annulus, start, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            AnnularSector.of(Annulus(0.3), start, 1.0, False, False)
+            AnnularSector(self.annulus, start, 1.0, False, False)
 
 
 class TestUnitChordAngle:
@@ -162,8 +175,8 @@ class TestUnitChordAngle:
 class TestSectorDistanceInterval:
     def test_antipodal_segments(self):
         a = Annulus(0.1)
-        s1 = AnnularSector.radial_segment(a, 0.0)
-        s2 = AnnularSector.radial_segment(a, math.pi)
+        s1 = AnnularSector(a, 0.0, 0.0)
+        s2 = AnnularSector(a, math.pi, 0.0)
         di = sector_distance_interval(s1, s2)
         assert di.min == pytest.approx(0.8, abs=1e-12)
         assert di.max == pytest.approx(1.2, abs=1e-12)
@@ -171,15 +184,15 @@ class TestSectorDistanceInterval:
 
     def test_perpendicular_segments(self):
         a = Annulus(0.1)
-        s1 = AnnularSector.radial_segment(a, 0.0)
-        s2 = AnnularSector.radial_segment(a, math.pi / 2.0)
+        s1 = AnnularSector(a, 0.0, 0.0)
+        s2 = AnnularSector(a, math.pi / 2.0, 0.0)
         di = sector_distance_interval(s1, s2)
         assert di.min == pytest.approx(math.sqrt(0.32), abs=1e-12)
         assert di.max == pytest.approx(math.sqrt(0.72), abs=1e-12)
 
     def test_same_segment(self):
         a = Annulus(0.2)
-        s = AnnularSector.radial_segment(a, 1.0)
+        s = AnnularSector(a, 1.0, 0.0)
         di = sector_distance_interval(s, s)
         assert di.min == 0.0
         assert di.max == pytest.approx(0.4, abs=1e-12)
@@ -187,7 +200,7 @@ class TestSectorDistanceInterval:
     def test_unit_width_sector_max_is_one(self):
         a = Annulus(0.1)
         theta = unit_chord_angle(a.outer_radius)
-        s = AnnularSector.of(a, 0.3, theta)
+        s = AnnularSector(a, 0.3, theta)
         di = sector_distance_interval(s, s)
         assert di.max == pytest.approx(1.0, abs=1e-12)
         assert di.max_attained_interior  # closed corners realize the unit chord
@@ -198,7 +211,7 @@ class TestSectorDistanceInterval:
     def test_open_sector_max_not_attained(self):
         a = Annulus(0.1)
         theta = unit_chord_angle(a.outer_radius)
-        s = AnnularSector.of(a, 0.3, theta, start_closed=False, end_closed=False)
+        s = AnnularSector(a, 0.3, theta, start_closed=False, end_closed=False)
         di = sector_distance_interval(s, s)
         assert di.max == pytest.approx(1.0, abs=1e-12)
         assert not di.max_attained_interior
@@ -208,11 +221,11 @@ class TestSectorDistanceInterval:
         # Two sectors a gap g apart are nearest at radius a across the gap;
         # the minimum keeps its relative accuracy however small g is.
         a = Annulus(r)
-        s1 = AnnularSector.of(a, 0.0, 1.0)
+        s1 = AnnularSector(a, 0.0, 1.0)
         for k in range(41):
             gap = 10.0 ** (-9.0 + 0.1 * k)
-            s2 = AnnularSector.of(a, 1.0 + gap, 1.0)
-            rho, phi = a.inner_radius, s2.arc.start
+            s2 = AnnularSector(a, 1.0 + gap, 1.0)
+            rho, phi = a.inner_radius, s2.start
             exact = math.dist((rho * math.cos(1.0), rho * math.sin(1.0)), (rho * math.cos(phi), rho * math.sin(phi)))
             assert sector_distance_interval(s1, s2).min == pytest.approx(exact, rel=1e-6), gap
 
@@ -222,8 +235,8 @@ class TestSectorDistanceInterval:
         # whose ends tie within 1e-12 in cosine; the minimum is across the
         # narrower gap, at radius a.
         a = Annulus(0.1)
-        s1 = AnnularSector(a, AngularInterval(0.0, 3.0, closed, closed))
-        s2 = AnnularSector(a, AngularInterval(3.0 + 6e-7, TWO_PI - 3.0 - 1.8e-6, closed, closed))
+        s1 = AnnularSector(a, 0.0, 3.0, closed, closed)
+        s2 = AnnularSector(a, 3.0 + 6e-7, TWO_PI - 3.0 - 1.8e-6, closed, closed)
         rho = a.inner_radius
         exact = math.dist((rho * math.cos(3.0), rho * math.sin(3.0)),
                           (rho * math.cos(3.0 + 6e-7), rho * math.sin(3.0 + 6e-7)))
@@ -233,12 +246,12 @@ class TestSectorDistanceInterval:
     @pytest.mark.parametrize("r", [1e-9, 1e-7, 1e-5])
     def test_thin_annulus_segment_max_is_its_length(self, r):
         a = Annulus(r)
-        s = AnnularSector.radial_segment(a, 1.0)
+        s = AnnularSector(a, 1.0, 0.0)
         assert sector_distance_interval(s, s).max == a.outer_radius - a.inner_radius
 
     def test_mismatched_annuli(self):
-        s1 = AnnularSector.of(Annulus(0.1), 0.0, 1.0)
-        s2 = AnnularSector.of(Annulus(0.2), 0.0, 1.0)
+        s1 = AnnularSector(Annulus(0.1), 0.0, 1.0)
+        s2 = AnnularSector(Annulus(0.2), 0.0, 1.0)
         with pytest.raises(ValueError):
             sector_distance_interval(s1, s2)
 
@@ -288,8 +301,8 @@ class TestSectorDistanceInterval:
         start2 = data.draw(st.floats(0.0, TWO_PI - 1e-12))
         width1 = data.draw(st.floats(0.0, TWO_PI))
         width2 = data.draw(st.floats(0.0, TWO_PI))
-        s1 = AnnularSector.of(annulus, start1, width1) if width1 > 0 else AnnularSector.radial_segment(annulus, start1)
-        s2 = AnnularSector.of(annulus, start2, width2) if width2 > 0 else AnnularSector.radial_segment(annulus, start2)
+        s1 = AnnularSector(annulus, start1, width1)
+        s2 = AnnularSector(annulus, start2, width2)
         di = sector_distance_interval(s1, s2)
         assert 0.0 <= di.min <= di.max <= 2.0 * annulus.outer_radius + 1e-12
 
@@ -297,8 +310,8 @@ class TestSectorDistanceInterval:
 class TestContainsUnitPair:
     def test_antipodal_segments_true(self):
         a = Annulus(0.1)
-        s1 = AnnularSector.radial_segment(a, 0.0)
-        s2 = AnnularSector.radial_segment(a, math.pi)
+        s1 = AnnularSector(a, 0.0, 0.0)
+        s2 = AnnularSector(a, math.pi, 0.0)
         found, witness = contains_unit_pair(s1, s2)
         assert found
         p, q = witness
@@ -310,8 +323,8 @@ class TestContainsUnitPair:
         # 1/2 + r == 1/2: the diameter is the only unit chord.
         a = Annulus(r)
         assert a.outer_radius == 0.5
-        s1 = AnnularSector.radial_segment(a, 0.0)
-        s2 = AnnularSector.radial_segment(a, math.pi)
+        s1 = AnnularSector(a, 0.0, 0.0)
+        s2 = AnnularSector(a, math.pi, 0.0)
         found, witness = contains_unit_pair(s1, s2)
         assert found
         p, q = witness
@@ -320,18 +333,18 @@ class TestContainsUnitPair:
 
     def test_perpendicular_segments_false(self):
         a = Annulus(0.1)
-        s1 = AnnularSector.radial_segment(a, 0.0)
-        s2 = AnnularSector.radial_segment(a, math.pi / 2.0)
+        s1 = AnnularSector(a, 0.0, 0.0)
+        s2 = AnnularSector(a, math.pi / 2.0, 0.0)
         found, witness = contains_unit_pair(s1, s2)
         assert not found and witness is None
 
     def test_open_unit_width_sector_excludes_corner_chord(self):
         a = Annulus(0.1)
         theta = unit_chord_angle(a.outer_radius)
-        open_sector = AnnularSector.of(a, 0.0, theta, start_closed=False, end_closed=False)
+        open_sector = AnnularSector(a, 0.0, theta, start_closed=False, end_closed=False)
         found, _ = contains_unit_pair(open_sector, open_sector)
         assert not found
-        closed_sector = AnnularSector.of(a, 0.0, theta)
+        closed_sector = AnnularSector(a, 0.0, theta)
         found, witness = contains_unit_pair(closed_sector, closed_sector)
         assert found
         p, q = witness
@@ -341,15 +354,15 @@ class TestContainsUnitPair:
         # The corner chord needs both corners; one closed endpoint is not enough.
         a = Annulus(0.1)
         theta = unit_chord_angle(a.outer_radius)
-        s = AnnularSector.of(a, 0.0, theta, start_closed=True, end_closed=False)
+        s = AnnularSector(a, 0.0, theta, start_closed=True, end_closed=False)
         found, _ = contains_unit_pair(s, s)
         assert not found
 
     def test_adjacent_open_sectors_share_unit_pair(self):
         a = Annulus(0.1)
         theta = unit_chord_angle(a.outer_radius)
-        s1 = AnnularSector.of(a, 0.0, theta, False, False)
-        s2 = AnnularSector.of(a, theta, theta, False, False)
+        s1 = AnnularSector(a, 0.0, theta, False, False)
+        s2 = AnnularSector(a, theta, theta, False, False)
         found, witness = contains_unit_pair(s1, s2)
         assert found
         p, q = witness
@@ -382,7 +395,7 @@ class TestContainsUnitPair:
         # The difference arc reaches theta at one point only: the outer corners.
         a = Annulus(0.1)
         theta = unit_chord_angle(a.outer_radius)
-        s = AnnularSector.of(a, 0.3, theta)
+        s = AnnularSector(a, 0.3, theta)
         found, (p, q) = contains_unit_pair(s, s)
         assert found
         assert abs(math.dist(p, q) - 1.0) <= 1e-12
@@ -393,8 +406,8 @@ class TestContainsUnitPair:
         # Two rays whose outer corners are 1 - 5e-4 apart: improper at tol = 1e-3.
         a, tol = Annulus(0.1), 1e-3
         delta = 2.0 * math.asin((1.0 - 5e-4) / (2.0 * a.outer_radius))
-        s1 = AnnularSector.radial_segment(a, 0.4)
-        s2 = AnnularSector.radial_segment(a, 0.4 + delta)
+        s1 = AnnularSector(a, 0.4, 0.0)
+        s2 = AnnularSector(a, 0.4 + delta, 0.0)
         assert sector_distance_interval(s1, s2).max == pytest.approx(1.0 - 5e-4, abs=1e-12)
         assert contains_unit_pair(s1, s2, 1e-4) == (False, None)
         found, (p, q) = contains_unit_pair(s1, s2, tol)
@@ -406,8 +419,8 @@ class TestContainsUnitPair:
         # Every distance lies within tol of 1, but the largest is reached only
         # at the sector's open end: the witness takes the attained smallest one.
         a, tol = Annulus(1e-5), 1e-3
-        ray = AnnularSector.radial_segment(a, 0.0)
-        s = AnnularSector.of(a, math.pi - 0.02, 0.007, start_closed=True, end_closed=False)
+        ray = AnnularSector(a, 0.0, 0.0)
+        s = AnnularSector(a, math.pi - 0.02, 0.007, start_closed=True, end_closed=False)
         di = sector_distance_interval(ray, s, tol)
         assert di.max < 1.0 and not di.max_attained_interior
         found, (p, q) = contains_unit_pair(ray, s, tol)
@@ -421,8 +434,8 @@ class TestContainsUnitPair:
             annulus, tol = Annulus(rng.uniform(0.01, 0.49)), 10.0 ** rng.uniform(-9.0, -4.0)
             theta = unit_chord_angle(annulus.outer_radius)
             start = rng.uniform(0.0, TWO_PI)
-            s1 = AnnularSector.of(annulus, start, rng.uniform(0.0, 2.0 * tol) or tol, False, False)
-            s2 = AnnularSector.of(
+            s1 = AnnularSector(annulus, start, rng.uniform(0.0, 2.0 * tol) or tol, False, False)
+            s2 = AnnularSector(
                 annulus, start + rng.uniform(theta + 4.0 * tol, math.pi), rng.uniform(0.0, 2.0 * tol) or tol, False, False
             )
             found, (p, q) = contains_unit_pair(s1, s2, tol)
@@ -434,8 +447,8 @@ class TestContainsUnitPair:
         # open at its start: distance 1 within tol is attained only with the
         # open copy's point at its closed end.
         annulus, tol = Annulus(0.11235681691721083), 1.9560852997508123e-08
-        closed = AnnularSector.of(annulus, 4.854952505789755, 1.9107053407777448, True, True)
-        half_open = AnnularSector.of(annulus, 4.854952505789755, 1.9107053407777448, False, True)
+        closed = AnnularSector(annulus, 4.854952505789755, 1.9107053407777448, True, True)
+        half_open = AnnularSector(annulus, 4.854952505789755, 1.9107053407777448, False, True)
         found, (p, q) = contains_unit_pair(closed, half_open, tol)
         assert found
         assert closed.contains(p, tol) and half_open.contains(q, tol)
@@ -448,8 +461,8 @@ class TestContainsUnitPair:
             annulus, tol = Annulus(rng.uniform(0.01, 0.49)), 10.0 ** rng.uniform(-12.0, -6.0)
             width = unit_chord_angle(annulus.outer_radius) + rng.uniform(-2.0, 2.0) * tol
             start = rng.uniform(0.0, TWO_PI)
-            s1 = AnnularSector.of(annulus, start, width, *rng.choice(flags))
-            s2 = AnnularSector.of(annulus, start, width, *rng.choice(flags))
+            s1 = AnnularSector(annulus, start, width, *rng.choice(flags))
+            s2 = AnnularSector(annulus, start, width, *rng.choice(flags))
             found, witness = contains_unit_pair(s1, s2, tol)
             if found:
                 positives += 1
@@ -526,9 +539,9 @@ def _gap_tie_pairs():
     for r in TIE_RADII:
         annulus = Annulus(r)
         for gap in _gaps_at_theta(unit_chord_angle(annulus.outer_radius)):
-            yield AnnularSector.radial_segment(annulus, 0.0), AnnularSector.radial_segment(annulus, gap)
+            yield AnnularSector(annulus, 0.0, 0.0), AnnularSector(annulus, gap, 0.0)
             for flags1, flags2 in itertools.product(itertools.product((True, False), repeat=2), repeat=2):
-                yield AnnularSector.of(annulus, 0.0, 0.25, *flags1), AnnularSector.of(annulus, 0.5 * gap, 0.5 * gap, *flags2)
+                yield AnnularSector(annulus, 0.0, 0.25, *flags1), AnnularSector(annulus, 0.5 * gap, 0.5 * gap, *flags2)
 
 
 class TestGapTies:

@@ -61,8 +61,11 @@ class TestBuildUdg:
 
     @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, coordinate):
-        with pytest.raises(ValueError, match="point 2 must have finite coordinates"):
-            build_udg([(0.0, 0.0), (1.0, 0.0), (coordinate, 0.0)])
+        points = [(0.0, 0.0), (1.0, 0.0), (coordinate, 0.0)]
+        # A list of tuples meets the bulk pass, a numpy array the point-by-point checks.
+        for given_points in (points, np.array(points)):
+            with pytest.raises(ValueError, match=r"point 2 must have finite coordinates, got \("):
+                build_udg(given_points)
 
     def test_tolerance_widens_detection(self):
         pts = [(0.0, 0.0), (1.0005, 0.0)]
@@ -417,7 +420,7 @@ class TestJson:
         g = graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]]})
         assert g.edges == ((0, 1),)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, 1e-2])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, 1e-2, 1e-16])
     def test_points_form_bad_tolerance_rejected(self, tolerance):
         with pytest.raises(SchemaError, match="graph.tolerance"):
             graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]], "tolerance": tolerance})
