@@ -11,6 +11,7 @@ when it embeds, with no sampled path to check.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ SPINDLE_EDGES = (
 )
 
 GADGET_KINDS = ("rod", "odd_cycle", "tri_rod", "moser_spindle")
+
+# Vertex count and sorted edges of each kind but the odd cycle, whose length varies.
+_SHAPES = {"rod": (2, ((0, 1),)), "tri_rod": (3, ((0, 1), (0, 2), (1, 2))), "moser_spindle": (7, SPINDLE_EDGES)}
 
 ODD_CYCLE_MAX_N = 99
 
@@ -83,25 +87,15 @@ class GadgetEmbedding:
         graph = UnitDistanceGraph(len(self.vertices), self.edges, self.vertices, DEFAULT_TOLERANCE)
         object.__setattr__(self, "vertices", graph.points)
         object.__setattr__(self, "edges", graph.edges)
-        self._check_shape()
-
-    def _check_shape(self) -> None:
-        n = len(self.vertices)
-        if self.kind == "rod":
-            if (n, len(self.edges)) != (2, 1):
-                raise ValueError("rod must have 2 vertices and 1 edge")
-        elif self.kind == "tri_rod":
-            if (n, len(self.edges)) != (3, 3):
-                raise ValueError("tri-rod must have 3 vertices and 3 edges")
-        elif self.kind == "moser_spindle":
-            if (n, len(self.edges)) != (7, 11) or self.edges != SPINDLE_EDGES:
-                raise ValueError("moser_spindle must carry the canonical 7-vertex, 11-edge adjacency")
-        elif self.kind == "odd_cycle":
+        n = graph.n
+        if self.kind == "odd_cycle":
             if n < 3 or n % 2 == 0:
-                raise ValueError(f"odd cycle needs an odd vertex count >= 3, got {n}")
-            cycle = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
-            if set(self.edges) != cycle:
-                raise ValueError("odd cycle edges must join consecutive indices")
+                raise ValueError(f"odd_cycle needs an odd vertex count >= 3, got {n}")
+            shape = (n, ((0, 1), (0, n - 1)) + tuple((k, k + 1) for k in range(1, n - 1)))
+        else:
+            shape = _SHAPES[self.kind]
+        if (n, graph.edges) != shape:
+            raise ValueError(f"{self.kind} must carry the canonical {shape[0]}-vertex, {len(shape[1])}-edge adjacency")
 
 
 def margin_of(vertices, annulus: Annulus) -> float:
@@ -228,7 +222,8 @@ def embed_moser_spindle(r: float) -> GadgetEmbedding:
     circle.  No placement does better: every rigid motion leaves some vertex
     at least 3/sqrt(11) from the center.  The nearest vertex then lies at
     radius about 0.239, above every inner radius the feasible range allows
-    (1/2 - r < 0.0955), so the margin is exactly r - SPINDLE_THRESHOLD.
+    (1/2 - r < 0.0955), so the margin equals r - SPINDLE_THRESHOLD up to
+    rounding (within 1e-16).
     """
     annulus = Annulus(r)
     if r <= SPINDLE_THRESHOLD:
@@ -261,21 +256,11 @@ def gadget_lower_bound(r: float) -> LowerBoundResult:
     checked graph: one circle of radius 1/sqrt(3) is 3-colorable by
     120-degree arcs.
     """
-    certificates: list[tuple[str, GadgetEmbedding]] = [("odd_cycle", embed_odd_cycle(r))]
-    bound = 3
-    try:
-        certificates.append(("tri_rod", embed_trirod(r)))
-        bound = 4
-    except GadgetInfeasible:
-        pass
-    try:
-        spindle = embed_moser_spindle(r)
-    except GadgetInfeasible:
-        pass
-    else:
-        certificates.append(("moser_spindle", spindle))
-        bound = 4
-    return LowerBoundResult(bound, tuple(certificates))
+    embeddings = [embed_odd_cycle(r)]
+    for embed in (embed_trirod, embed_moser_spindle):  # looked up per call, so rebinding them takes effect
+        with contextlib.suppress(GadgetInfeasible):
+            embeddings.append(embed(r))
+    return LowerBoundResult(4 if len(embeddings) > 1 else 3, tuple((e.kind, e) for e in embeddings))
 
 
 def embedding_to_json(embedding: GadgetEmbedding) -> dict:

@@ -14,12 +14,20 @@ pair exactly 1 apart at radius 1/(2*sin(delta/2)), between 1/2 and 1/2 + r.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 DEFAULT_TOLERANCE = 1e-9
 TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = sys.float_info.max
 
 Point = tuple[float, float]
+
+
+def _check_tolerance(tolerance: float, finite: bool = True) -> None:
+    """Refuse a NaN or negative tolerance, and an infinite one if ``finite``: one chained comparison when it passes."""
+    if not 0.0 <= tolerance <= (_FLOAT_MAX if finite else math.inf):
+        raise ValueError(f"tolerance must be {'finite and ' if finite else ''}nonnegative, got {tolerance}")
 
 
 def normalize_angle(angle: float) -> float:
@@ -214,6 +222,9 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
     gap_max are the _gap_extreme tuples that govern the distance minimum
     d_min and maximum d_max.
     """
+    # An infinite tolerance still passes: every pair then holds a unit pair,
+    # and perfbench's witness-checker test takes its degenerate witness.
+    _check_tolerance(tolerance, False)
     if s1.annulus != s2.annulus:
         raise ValueError("sectors belong to different annuli")
 

@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .geometry import DEFAULT_TOLERANCE, Point
+from .geometry import DEFAULT_TOLERANCE, Point, _check_tolerance
 from .schema import (
     SchemaError,
     require_index_pair,
@@ -76,8 +76,7 @@ class UnitDistanceGraph:
             raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
-            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        _check_tolerance(self.tolerance)
         edges = _shared_edges(self.n, self.edges)
         if edges is None:
             # A bad edge, an index that is not an int or a graph past the
@@ -187,6 +186,7 @@ def _float_points(points) -> tuple[Point, ...]:
 
 def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> UnitDistanceGraph:
     """Graph whose edges are exactly the point pairs at distance 1 within tolerance."""
+    _check_tolerance(tolerance)  # before the quadratic pass
     pts = _float_points(points)
     edges = []
     for i in range(len(pts)):

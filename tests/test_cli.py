@@ -13,8 +13,14 @@ import annulus_chroma
 from annulus_chroma import cli
 from annulus_chroma.cli import main
 from annulus_chroma.gadgets import ODD_CYCLE_THRESHOLD, SPINDLE_THRESHOLD, TRI_ROD_THRESHOLD, spindle_points
-from annulus_chroma.geometry import unit_chord_angle
-from annulus_chroma.radial import VerificationResult, coloring_from_json, thresholds, verify_radial_coloring
+from annulus_chroma.geometry import Annulus, unit_chord_angle
+from annulus_chroma.radial import (
+    RadialColoring,
+    VerificationResult,
+    coloring_from_json,
+    thresholds,
+    verify_radial_coloring,
+)
 
 
 def run(capsys, *argv):
@@ -101,6 +107,13 @@ class TestConstructAndVerify:
         code, out, _ = run(capsys, "construct", "--r", "0.15", "--format", "svg")
         assert code == 0
         ET.fromstring(out)
+
+    def test_construct_refuses_a_coloring_that_fails_self_verification(self, capsys, monkeypatch):
+        one_colour = RadialColoring(Annulus(0.3), (0.0, 3.0), (0, 0), (0, 0))
+        monkeypatch.setattr(cli, "construct_radial_coloring", lambda r: one_colour)
+        code, out, err = run(capsys, "construct", "--r", "0.3")
+        assert (code, out) == (3, "")
+        assert "failed self-verification" in err
 
     def test_verify_accepts_constructed(self, capsys, tmp_path):
         path = tmp_path / "coloring.json"

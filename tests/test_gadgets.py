@@ -22,7 +22,7 @@ from annulus_chroma.gadgets import (
 )
 from annulus_chroma.geometry import Annulus
 from annulus_chroma.radial import thresholds
-from annulus_chroma.udg import build_udg, chromatic_number_exact
+from annulus_chroma.udg import UnitDistanceGraph, build_udg, chromatic_number_exact
 from oracles import reference_odd_cycle
 
 # The same 7-vertex graph under an unrelated labeling: rhombus 0-1-3-2 with
@@ -298,6 +298,13 @@ class TestSpindleEmbedding:
             emb = embed_moser_spindle(r)
             assert emb.margin == pytest.approx(r - SPINDLE_THRESHOLD, abs=1e-12)
 
+    def test_margin_is_the_clearance_up_to_rounding(self):
+        # In floats the margin misses r - SPINDLE_THRESHOLD on many r, but by less than 1e-16.
+        rng = random.Random(18)
+        for _ in range(5000):
+            r = rng.uniform(math.nextafter(SPINDLE_THRESHOLD, 1.0), math.nextafter(0.5, 0.0))
+            assert abs(embed_moser_spindle(r).margin - (r - SPINDLE_THRESHOLD)) <= 1e-16
+
     def test_embedded_graph_is_spindle(self):
         emb = embed_moser_spindle(0.45)
         g = build_udg(list(emb.vertices), 1e-9)
@@ -346,17 +353,36 @@ class TestEmbeddingType:
             GadgetEmbedding("rod", {}, ((0.0, 0.0), (0.5, 0.0)), ((0, 1),), 0.1)
 
     def test_wrong_shape_rejected(self):
+        pts, edges = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), ((0, 1),)
+        UnitDistanceGraph(len(pts), edges, pts)  # unit edges: only the shape is wrong
         with pytest.raises(ValueError, match="rod"):
-            GadgetEmbedding("rod", {}, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), ((0, 1),), 0.1)
+            GadgetEmbedding("rod", {}, pts, edges, 0.1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             GadgetEmbedding("hexagon", {}, ((0.0, 0.0), (1.0, 0.0)), ((0, 1),), 0.1)
 
     def test_even_cycle_rejected(self):
-        pts = tuple((float(k), 0.0) for k in range(4))
-        with pytest.raises(ValueError):
-            GadgetEmbedding("odd_cycle", {}, pts, ((0, 1), (1, 2), (2, 3), (0, 3)), 0.1)
+        square, edges = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), ((0, 1), (1, 2), (2, 3), (0, 3))
+        UnitDistanceGraph(len(square), edges, square)
+        with pytest.raises(ValueError, match="odd_cycle needs an odd vertex count >= 3, got 4"):
+            GadgetEmbedding("odd_cycle", {}, square, edges, 0.1)
+
+    @pytest.mark.parametrize(
+        "kind, vertices, edges",
+        [
+            ("tri_rod", embed_trirod(0.1).vertices, ((0, 1), (1, 2))),
+            ("moser_spindle", spindle_points(), SPINDLE_EDGES[:-1]),
+            # The unit 5-cycle at r = 0.05 with vertices 1 and 2 swapped: edge (0, 2) skips index 1.
+            ("odd_cycle", tuple(embed_odd_cycle(0.05).vertices[k] for k in (0, 2, 1, 3, 4)),
+             ((0, 2), (1, 2), (1, 3), (3, 4), (0, 4))),
+        ],
+        ids=["tri_rod-two-edges", "spindle-ten-edges", "cycle-skipping-an-index"],
+    )
+    def test_partial_shape_rejected(self, kind, vertices, edges):
+        UnitDistanceGraph(len(vertices), edges, vertices)
+        with pytest.raises(ValueError, match=f"{kind} must carry the canonical"):
+            GadgetEmbedding(kind, {}, vertices, edges, 0.1)
 
     @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
     def test_edge_to_non_finite_vertex_rejected(self, coordinate):

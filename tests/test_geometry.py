@@ -308,6 +308,15 @@ class TestSectorDistanceInterval:
 
 
 class TestContainsUnitPair:
+    @pytest.mark.parametrize("tolerance", [math.nan, -math.inf, -1.0])
+    def test_absurd_tolerance_refused(self, tolerance):
+        # Every comparison with NaN is false, so a NaN tolerance found no unit pair in this 3-radian sector.
+        s = AnnularSector(Annulus(0.3), 0.0, 3.0, False, False)
+        assert contains_unit_pair(s, s)[0]
+        for analyse in (contains_unit_pair, sector_distance_interval):
+            with pytest.raises(ValueError, match=f"tolerance must be nonnegative, got {tolerance}"):
+                analyse(s, s, tolerance)
+
     def test_antipodal_segments_true(self):
         a = Annulus(0.1)
         s1 = AnnularSector(a, 0.0, 0.0)

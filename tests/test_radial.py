@@ -279,6 +279,14 @@ class TestVerify:
             p, q = verdict.witness
             assert abs(math.dist(p, q) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -math.inf, -1.0])
+    def test_absurd_tolerance_gives_no_verdict(self, tolerance):
+        # Improper at the default tolerance; NaN and -1.0 used to call it proper.
+        c = RadialColoring(Annulus(0.3), (0.0, 3.0), (0, 0), (0, 0))
+        assert not verify_radial_coloring(c).proper
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            verify_radial_coloring(c, tolerance)
+
     def test_single_boundary_always_improper(self):
         for r in (0.01, 0.2, 0.45):
             c = RadialColoring(Annulus(r), (1.0,), (0,), (1,))

@@ -67,6 +67,12 @@ class TestBuildUdg:
             with pytest.raises(ValueError, match=r"point 2 must have finite coordinates, got \("):
                 build_udg(given_points)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_refused_before_the_points_are_read(self, tolerance):
+        # The tolerance used to be refused only after the quadratic pass over the points.
+        with pytest.raises(ValueError, match=f"tolerance must be finite and nonnegative, got {tolerance}"):
+            build_udg([(0.0, 0.0), ("x", 0.0)], tolerance)
+
     def test_tolerance_widens_detection(self):
         pts = [(0.0, 0.0), (1.0005, 0.0)]
         assert build_udg(pts, 1e-9).edges == ()
@@ -140,6 +146,8 @@ class TestGraphStructure:
     def test_edge_length_validated_when_points_given(self):
         with pytest.raises(ValueError):
             UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (0.5, 0.0)), 1e-9)
+        with pytest.raises(ValueError, match="expected 3 points, got 2"):
+            UnitDistanceGraph(3, ((0, 1),), ((0.0, 0.0), (1.0, 0.0)), 1e-9)
 
     @pytest.mark.parametrize("n", [3, MAX_VERTICES + 1])
     @pytest.mark.parametrize(
