@@ -146,7 +146,10 @@ def unit_chord_angle(outer_radius: float) -> float:
 #   the larger of the corners (b, b) and (a, b), since d^2 is convex in the
 #   radii and (a, a) never exceeds (b, b).
 # The (a, b) corner never exceeds a + b = 1, so with theta = 2*asin(1/(2*b))
-# the exact d_max reaches 1 exactly when g_max >= theta.
+# the exact d_max reaches 1 exactly when g_max >= theta.  d_min never
+# exceeds 2*a <= 1, so the minimum cannot rule a pair out: contains_unit_pair
+# decides a miss from g_max and d_max alone, and computes g_min and d_min
+# only for the pairs that survive.
 #
 # A pair is analysed in plain floats and tuples: contains_unit_pair builds
 # objects only for a witness it returns, and sector_distance_interval only
@@ -214,13 +217,12 @@ def _sector_key(s: AnnularSector):
     return (s.start, s.width, s.start_closed, s.end_closed)
 
 
-def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
-    """(lo, hi, gap_min, gap_max, d_min, d_max, swapped) for a pair of sectors.
+def _difference_arc(s1: AnnularSector, s2: AnnularSector, tolerance: float):
+    """(lo, hi, lo_ok, hi_ok, swapped): the range [lo, hi] of phi1 - phi2 for a pair of sectors.
 
-    [lo, hi] is the unwrapped range of phi1 - phi2 over the pair in
-    canonical order (swapped when that order is (s2, s1)); gap_min and
-    gap_max are the _gap_extreme tuples that govern the distance minimum
-    d_min and maximum d_max.
+    The range is unwrapped and taken over the pair in canonical order
+    (swapped when that order is (s2, s1)); ``lo_ok`` and ``hi_ok`` say
+    whether a pair respecting the endpoint flags attains each end.
     """
     # An infinite tolerance still passes: every pair then holds a unit pair,
     # and perfbench's witness-checker test takes its degenerate witness.
@@ -239,15 +241,20 @@ def _analyze_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
     else:
         lo_ok = c1.start_closed and c2.end_closed
         hi_ok = c1.end_closed and c2.start_closed
-    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
-    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
+    return lo, hi, lo_ok, hi_ok, swapped
 
-    a = s1.annulus.inner_radius
-    b = s1.annulus.outer_radius
-    s = math.sin(0.5 * gap_max[0])
-    d_min = 2.0 * a * math.sin(0.5 * gap_min[0])
-    d_max = max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s))
-    return lo, hi, gap_min, gap_max, d_min, d_max, swapped
+
+def _max_distance(r: float, gap: float) -> float:
+    """d_max at largest circular gap ``gap`` in the annulus of half-width r."""
+    a = 0.5 - r
+    b = 0.5 + r
+    s = math.sin(0.5 * gap)
+    return max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s))
+
+
+def _min_distance(r: float, gap: float) -> float:
+    """d_min at least circular gap ``gap`` in the annulus of half-width r."""
+    return 2.0 * (0.5 - r) * math.sin(0.5 * gap)
 
 
 def sector_distance_interval(
@@ -260,8 +267,11 @@ def sector_distance_interval(
     realized by some pair of closure points; the attainment flags report
     whether the extremes survive the open/closed endpoint flags.
     """
-    _, _, gap_min, gap_max, d_min, d_max, _ = _analyze_pair(s1, s2, tolerance)
-    return DistanceInterval(d_min, d_max, gap_min[2], gap_max[2])
+    lo, hi, lo_ok, hi_ok, _ = _difference_arc(s1, s2, tolerance)
+    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
+    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
+    r = s1.annulus.r
+    return DistanceInterval(_min_distance(r, gap_min[0]), _max_distance(r, gap_max[0]), gap_min[2], gap_max[2])
 
 
 def _pair_for_delta(s1: AnnularSector, s2: AnnularSector, delta: float) -> tuple[float, float]:
@@ -283,12 +293,13 @@ def _unit_chord_witness(
 ) -> tuple[Point, Point]:
     """Pair 1 apart on one circle: directions d apart at radius 1/(2*|sin(d/2)|).
 
-    [lo, hi] and ``swapped`` are _analyze_pair's.  d is the point nearest
+    [lo, hi] and ``swapped`` are _difference_arc's.  d is the point nearest
     the middle of the difference arc on its longest piece at circular
     distance in [theta, pi], so both angles sit strictly inside their arcs.
     Without such a piece of positive length, d is ``delta_at_extreme``,
-    that of an attained extreme, and the radius is capped at the outer one
-    (distance 1 within the tolerance).
+    that of an attained extreme, and the radius is capped at the outer one;
+    the pair is then 1 apart only up to the tolerance and rounding, which
+    the caller checks.
     """
     outer = s1.annulus.outer_radius
     theta = unit_chord_angle(outer)
@@ -309,23 +320,35 @@ def _unit_chord_witness(
 def contains_unit_pair(
     s1: AnnularSector, s2: AnnularSector, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[bool, tuple[Point, Point] | None]:
-    """Whether some p in s1 and q in s2 are at distance exactly 1.
+    """Whether some p in s1 and q in s2 are at distance 1 within the tolerance.
 
     Returns (verdict, witness).  A distance-1 value strictly inside the
     realizable range always yields a witness; a value matching the range
-    minimum or maximum counts only when the corresponding extreme is
-    attained by points respecting the open/closed flags.  The witness is
-    closed-form: both points on the circle of radius 1/(2*sin(delta/2)),
-    delta their angular distance.
+    minimum or maximum within the tolerance counts only when the
+    corresponding extreme is attained by points respecting the open/closed
+    flags, and its witness is 1 apart within the tolerance by math.dist.
+    The witness is closed-form: both points on the circle of radius
+    1/(2*sin(delta/2)), delta their angular distance.
     """
-    lo, hi, gap_min, gap_max, d_min, d_max, swapped = _analyze_pair(s1, s2, tolerance)
-    if 1.0 < d_min - tolerance or 1.0 > d_max + tolerance:
+    lo, hi, lo_ok, hi_ok, swapped = _difference_arc(s1, s2, tolerance)
+    r = s1.annulus.r
+    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
+    d_max = _max_distance(r, gap_max[0])
+    if 1.0 > d_max + tolerance:
         return False, None
+    # 1.0 < d_min - tolerance never holds: d_min = 2*a*sin(g_min/2) <= 2*a <= 1.
+    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
+    d_min = _min_distance(r, gap_min[0])
+    interior = d_min + tolerance < 1.0 < d_max - tolerance
     if (
-        d_min + tolerance < 1.0 < d_max - tolerance
+        interior
         or (abs(1.0 - d_min) <= tolerance and gap_min[2])
         or (abs(1.0 - d_max) <= tolerance and gap_max[2])
     ):
         delta_at_extreme = (gap_max if gap_max[2] else gap_min)[1]
-        return True, _unit_chord_witness(s1, s2, lo, hi, delta_at_extreme, swapped)
+        witness = _unit_chord_witness(s1, s2, lo, hi, delta_at_extreme, swapped)
+        # A witness capped at the outer radius can fall short of 1 by the
+        # tolerance and a few ulps more; such a pair is a miss.
+        if interior or abs(math.dist(*witness) - 1.0) <= tolerance:
+            return True, witness
     return False, None

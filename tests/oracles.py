@@ -173,6 +173,29 @@ def random_proper_radial_coloring(rng: random.Random, r: float, max_cuts: int = 
     )
 
 
+def window_edge_coloring(rng: random.Random) -> tuple[RadialColoring, float]:
+    """(coloring, tolerance): two rays of color 0 whose outer chord is 1 - f*tolerance, f in [0, 1.2].
+
+    r runs log-uniformly from 2.8e-17 to 0.49 and the tolerance from 1e-15
+    to 1e-13.  Every other piece takes a color of its own, and rays at most
+    theta/2 apart cut the rest of the circle, so the only same-colored pair
+    that can hold a unit pair is the two rays, at the tolerance window's edge.
+    """
+    r = 10.0 ** rng.uniform(math.log10(2.8e-17), math.log10(0.49))
+    tolerance = 10.0 ** rng.uniform(-15.0, -13.0)
+    outer = 0.5 + r
+    gap = 2.0 * math.asin((1.0 - rng.uniform(0.0, 1.2) * tolerance) / (2.0 * outer))
+    step = 0.5 * unit_chord_angle(outer)
+    first = rng.uniform(0.0, TWO_PI - gap)
+    inside, outside = math.ceil(gap / step), math.ceil((TWO_PI - gap) / step)
+    rays = [first + k * gap / inside for k in range(inside)]
+    rays += [(first + gap + k * (TWO_PI - gap) / outside) % TWO_PI for k in range(outside)]
+    rays.sort()
+    n = len(rays)
+    ray_colors = [0 if a in (first, first + gap) else n + 1 + i for i, a in enumerate(rays)]
+    return RadialColoring(Annulus(r), rays, range(1, n + 1), ray_colors), tolerance
+
+
 def brute_chromatic(graph: UnitDistanceGraph) -> int:
     """Exhaustive chromatic number by backtracking in natural vertex order."""
     masks = graph.adjacency_masks()
@@ -490,7 +513,10 @@ def reference_verify_radial_coloring(
 # Reference pair analysis: the candidate search over the radius box that the
 # closed forms in geometry replaced, reading the difference arc in each step,
 # kept unchanged so tests can require equal verdicts, witnesses and flags, and
-# intervals within this search's cancellation error near cos = 1.
+# intervals within this search's cancellation error near cos = 1.  It holds
+# for r >= 1e-9 and tolerances >= 1e-12 only.  Outside that range the
+# cancellation error, which can even put its min above its max, outgrows
+# the tolerance, and seeded pairs get verdicts other than the library's.
 
 
 @dataclass(frozen=True)
@@ -662,17 +688,23 @@ def reference_contains_unit_pair(s1: AnnularSector, s2: AnnularSector, tolerance
     return False, None
 
 
-def random_sector_pair(rng: random.Random) -> tuple[AnnularSector, AnnularSector, float]:
+def random_sector_pair(
+    rng: random.Random, r: float | None = None, tolerance: float | None = None
+) -> tuple[AnnularSector, AnnularSector, float]:
     """(s1, s2, tolerance) aimed at the pair analysis's edge cases.
 
-    r runs log-uniformly from 1e-9 to 0.499 and the tolerance from 1e-12 to
-    1e-3.  Widths are drawn near theta, near 2*pi, under 1e-6, zero (radial
-    segments) or anywhere, with random open/closed ends; the second piece
-    starts anywhere, or at, theta or pi past the first one's start or end,
-    give or take up to 10^6 tolerances.
+    Unless given, r runs log-uniformly from 1e-9 to 0.499 and the tolerance
+    from 1e-12 to 1e-3.  Widths are drawn near theta, near 2*pi, under 1e-6,
+    zero (radial segments) or anywhere, with random open/closed ends; the
+    second piece starts anywhere, or at, theta or pi past the first one's
+    start or end, give or take up to 10^6 tolerances.  The radius-box
+    reference holds only on the default ranges, r >= 1e-9 and tolerance
+    >= 1e-12; outside them it is no oracle for the library.
     """
-    r = 10.0 ** rng.uniform(-9.0, math.log10(0.499))
-    tolerance = 10.0 ** rng.uniform(-12.0, -3.0)
+    if r is None:
+        r = 10.0 ** rng.uniform(-9.0, math.log10(0.499))
+    if tolerance is None:
+        tolerance = 10.0 ** rng.uniform(-12.0, -3.0)
     annulus = Annulus(r)
     theta = unit_chord_angle(annulus.outer_radius)
     jitter = tolerance * rng.choice((0.0, 0.0, 0.5, 1.0, 2.0, 10.0 ** rng.uniform(0.0, 6.0))) * rng.choice((-1.0, 1.0))

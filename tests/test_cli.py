@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ from annulus_chroma.radial import (
     thresholds,
     verify_radial_coloring,
 )
+from oracles import window_edge_coloring
 
 
 def run(capsys, *argv):
@@ -223,6 +225,45 @@ class TestVerifyWitnessCheck:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert out.splitlines()[0] == "improper"
+
+
+# Two colour-0 rays whose outer chord falls short of 1 by just under the
+# tolerance 1e-15; every other piece has a colour of its own.
+WINDOW_EDGE = [
+    {"r": 2.7755575615628914e-17, "boundaries": [0.3966429520069594, 1.0, 3.538235694630649, 4.0],
+     "sector_colors": [1, 2, 3, 4], "boundary_colors": [0, 5, 0, 6]},
+    {"r": 0.3, "boundaries": [0.142, 0.642, 0.892, 1.142, 1.4922630658740614, 1.9922630658740614,
+                              2.492263065874061, 2.992263065874061, 3.492263065874061, 3.992263065874061,
+                              4.492263065874061, 4.992263065874061, 5.492263065874061, 5.992263065874061],
+     "sector_colors": list(range(1, 15)), "boundary_colors": [0, 16, 17, 18, 0, *range(20, 29)]},
+]
+
+
+class TestWindowEdgeWitness:
+    # A verdict from an extreme within the tolerance of 1 can put its witness at
+    # the outer radius, where the chord can fall short of 1 by the tolerance
+    # and rounding more: the pair then counts as a miss, not as a witness the
+    # independent check refuses.
+    @pytest.mark.parametrize("doc", WINDOW_EDGE, ids=["r-rounds-to-zero", "r-0.3"])
+    def test_verify_at_the_window_edge(self, capsys, tmp_path, doc):
+        path = tmp_path / "rays.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "verify", str(path), "--tolerance", "1e-15") == (0, "proper\n", "")
+        code, out, err = run(capsys, "verify", str(path), "--tolerance", "1e-14")
+        assert (code, err) == (1, "")
+        assert "color=0" in out.splitlines()
+
+    def test_every_window_verdict_passes_the_independent_check(self):
+        rng = random.Random(2013)
+        improper = 0
+        for _ in range(4000):
+            coloring, tolerance = window_edge_coloring(rng)
+            verdict = verify_radial_coloring(coloring, tolerance)
+            if not verdict.proper:
+                improper += 1
+                assert verdict.color == 0
+                assert cli._witness_problem(coloring, verdict, tolerance) is None, (coloring, tolerance)
+        assert 2000 < improper < 4000
 
 
 class TestEmbed:

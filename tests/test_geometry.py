@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulus_chroma import geometry
 from annulus_chroma.geometry import (
     DEFAULT_TOLERANCE,
     AnnularSector,
@@ -490,6 +491,38 @@ class TestContainsUnitPair:
                 assert found
             if 1.0 < di.min - 1e-9 or 1.0 > di.max + 1e-9:
                 assert not found
+
+
+class TestMissFromTheMaximum:
+    # d_min = 2*a*sin(g_min/2) <= 2*a <= 1 for every r, so the minimum never
+    # rules a pair out and contains_unit_pair decides a miss from g_max alone.
+    # The reference is no oracle below r = 1e-9, so none is used here.
+    @pytest.mark.parametrize("r", [5e-324, 2.0 ** -60, 2.0 ** -54, 1e-17, 1e-9, None])
+    def test_min_never_exceeds_one_and_the_max_alone_decides_a_miss(self, r, monkeypatch):
+        targets = []
+        gap_extreme = geometry._gap_extreme
+
+        def recorded(lo, hi, lo_ok, hi_ok, target, tolerance):
+            targets.append(target)
+            return gap_extreme(lo, hi, lo_ok, hi_ok, target, tolerance)
+
+        monkeypatch.setattr(geometry, "_gap_extreme", recorded)
+        rng = random.Random(19)
+        misses = 0
+        for k in range(2000):
+            tolerance = 0.0 if k % 4 == 0 else 10.0 ** rng.uniform(-15.0, -3.0)
+            s1, s2, tolerance = random_sector_pair(rng, r, tolerance)
+            di = sector_distance_interval(s1, s2, tolerance)
+            assert di.min <= 1.0, (s1, s2, tolerance)
+            targets.clear()
+            verdict = contains_unit_pair(s1, s2, tolerance)
+            if di.max + tolerance < 1.0:
+                misses += 1
+                assert verdict == (False, None), (s1, s2, tolerance)
+                assert targets == [math.pi], (s1, s2, tolerance)
+            else:
+                assert sorted(targets) == [0.0, math.pi], (s1, s2, tolerance)
+        assert misses > 100
 
 
 class TestReferencePairAnalysis:
