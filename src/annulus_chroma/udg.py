@@ -8,15 +8,18 @@ color-symmetry breaking, so small instances solve exactly and
 deterministically.  One DSATUR routine does both jobs: the greedy coloring
 that bounds the search from above is the search's own first descent.
 Vertex sets are Python ints used as bitsets (in the style of San Segundo
-et al. 2012): the uncolored vertices are one int, each color c keeps the
-int of uncolored vertices with a neighbour of color c, and each
-saturation level s keeps the int of vertices whose neighbours carry s
-distinct colors.  Painting a vertex moves the neighbours its color newly
-reaches up one level with one AND per level in use, and the next vertex
-is found in the highest level that holds an uncolored one.
+et al. 2012): a graph is stored as one int of neighbours per vertex, and
+its edge list is derived from them; the uncolored vertices are one int,
+each color c keeps the int of uncolored vertices with a neighbour of
+color c, and each saturation level s keeps the int of vertices whose
+neighbours carry s distinct colors.  Painting a vertex moves the
+neighbours its color newly reaches up one level with one AND per level
+in use, and the next vertex is found in the highest level that holds an
+uncolored one.
 
-UnitDistanceGraph alone checks edge lists, and _float_points the points
-that graph_from_json, build_udg and UnitDistanceGraph are given;
+UnitDistanceGraph alone checks edge lists, in one loop that reads
+self-loops and duplicates off the bitsets it builds, and _float_points the
+points that graph_from_json, build_udg and UnitDistanceGraph are given;
 graph_from_json checks a list they refuse against the schema, to name the
 bad element's position.
 """
@@ -44,107 +47,98 @@ from .schema import (
 
 MAX_VERTICES = 64
 
-# One shared tuple per vertex pair of a solver-sized graph: a graph holds a
-# pointer per edge instead of its own 2-tuple, which matters when many
-# graphs are alive at once.  _PAIR_TABLE[i][j] is the shared pair of i and j
-# in either order, and None when i == j.
-_PAIRS = {pair: pair for pair in itertools.combinations(range(MAX_VERTICES), 2)}
-_PAIR_TABLE = [[_PAIRS.get((i, j) if i < j else (j, i)) for j in range(MAX_VERTICES)] for i in range(MAX_VERTICES)]
-
 ColoringAssignment = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnitDistanceGraph:
     """Graph on indexed vertices, optionally carrying planar coordinates.
 
+    The graph is stored as its adjacency bitsets: masks[v] is the int whose
+    bit u is set when u and v are joined, the form the exact solver reads.
+    edges is derived from them, as the sorted pairs (i, j) with i < j.
+
     An edge is a pair of distinct vertex indices in range(n), of any integer
-    type but bool, stored as ints.  The tolerance must be finite and
-    nonnegative.  When points are present, they must be pairs of finite
-    real numbers (not bools or strings), stored as floats, and every edge
-    must join a pair at distance 1 within the tolerance (the converse is
-    enforced by build_udg, not by the type).
+    type but bool, given in either order and at most once.  The tolerance
+    must be finite and nonnegative.  When points are present, they must be
+    pairs of finite real numbers (not bools or strings), stored as floats,
+    and every edge must join a pair at distance 1 within the tolerance (the
+    converse is enforced by build_udg, not by the type).  The graph holds
+    one int per vertex, so an absurd n fails as [0] * n would.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...]
     points: tuple[Point, ...] | None = None
     tolerance: float = DEFAULT_TOLERANCE
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        _check_tolerance(self.tolerance)
-        edges = _shared_edges(self.n, self.edges)
-        if edges is None:
-            # A bad edge, an index that is not an int or a graph past the
-            # solver's size: check edge by edge, which names the first bad one.
-            try:
-                iter(self.edges)
-            except TypeError:
-                raise ValueError(f"edges must be an iterable of vertex pairs, got {self.edges!r}") from None
-            canonical = []
-            seen = set()
-            for edge in self.edges:
-                try:
-                    i, j = edge
-                    if isinstance(i, bool) or isinstance(j, bool):
-                        raise TypeError
-                    i, j = operator.index(i), operator.index(j)
-                except (TypeError, ValueError):
-                    raise ValueError(f"edge {edge!r} is not a pair of integer vertex indices") from None
-                if i == j:
-                    raise ValueError(f"self-loop at vertex {i}")
-                if not (0 <= i < self.n and 0 <= j < self.n):
-                    raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-                edge = (i, j) if i < j else (j, i)
-                edge = _PAIRS.get(edge, edge)
-                if edge in seen:
-                    raise ValueError(f"duplicate edge {edge}")
-                seen.add(edge)
-                canonical.append(edge)
-            edges = tuple(sorted(canonical))
-        object.__setattr__(self, "edges", edges)
-        if self.points is not None:
-            pts = _float_points(self.points)
-            object.__setattr__(self, "points", pts)
-            if len(pts) != self.n:
-                raise ValueError(f"expected {self.n} points, got {len(pts)}")
-            for i, j in self.edges:
-                d = math.dist(pts[i], pts[j])
-                if not abs(d - 1.0) <= self.tolerance:  # NaN fails too
-                    raise ValueError(f"edge ({i}, {j}) has length {d}, not 1 within {self.tolerance}")
-
-    def adjacency_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for i, j in self.edges:
+    def __init__(self, n: int, edges, points=None, tolerance: float = DEFAULT_TOLERANCE) -> None:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        _check_tolerance(tolerance)
+        try:
+            iter(edges)
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}") from None
+        # Types and ranges are checked edge by edge unless one bulk pass
+        # accepts them all; the loop names the first bad edge either way.
+        check = not _plain_edges(n, edges)
+        masks = [0] * n
+        for edge in edges:
+            i, j = _index_pair(edge) if check else edge
+            if i == j:
+                raise ValueError(f"self-loop at vertex {i}")
+            if check and not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+            if masks[i] >> j & 1:
+                raise ValueError(f"duplicate edge {(i, j) if i < j else (j, i)}")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        return masks
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "tolerance", tolerance)
+        if points is not None:
+            points = _float_points(points)
+            if len(points) != n:
+                raise ValueError(f"expected {n} points, got {len(points)}")
+            for i, j in self.edges:
+                d = math.dist(points[i], points[j])
+                if not abs(d - 1.0) <= tolerance:  # NaN fails too
+                    raise ValueError(f"edge ({i}, {j}) has length {d}, not 1 within {tolerance}")
+        object.__setattr__(self, "points", points)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        edges = []
+        for i, mask in enumerate(self.masks):
+            higher = mask >> i + 1 << i + 1
+            while higher:
+                low = higher & -higher
+                edges.append((i, low.bit_length() - 1))
+                higher ^= low
+        return tuple(edges)
 
 
-def _shared_edges(n: int, edges) -> tuple[tuple[int, int], ...] | None:
-    """The sorted shared pairs of ``edges``, or None unless one bulk pass accepts them.
-
-    That pass accepts a solver-sized graph's list or tuple of two-int lists
-    or tuples, with every index in range(n), no self-loop and no edge twice
-    in either order: exactly the edges the per-edge checks accept with
-    these types, mapped to the same pairs.
-    """
-    if n > MAX_VERTICES or type(edges) not in (list, tuple):
-        return None
+def _plain_edges(n: int, edges) -> bool:
+    """True when edges is a list or tuple of two-int lists or tuples, every index in range(n)."""
+    if type(edges) not in (list, tuple):
+        return False
     if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
-        return None
+        return False
     flat = list(itertools.chain.from_iterable(edges))
-    if not (set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and max(flat, default=0) < n):
-        return None
-    pairs = [_PAIR_TABLE[i][j] for i, j in edges]
-    if None in pairs or len(set(pairs)) < len(pairs):
-        return None
-    pairs.sort()
-    return tuple(pairs)
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and max(flat, default=0) < n
+
+
+def _index_pair(edge) -> tuple[int, int]:
+    try:
+        i, j = edge
+        if isinstance(i, bool) or isinstance(j, bool):
+            raise TypeError
+        return operator.index(i), operator.index(j)
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not a pair of integer vertex indices") from None
 
 
 def _float_points(points) -> tuple[Point, ...]:
@@ -204,8 +198,15 @@ def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
 
 
 def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
-    """Maximal clique grown greedily by descending degree; a chromatic lower bound."""
-    return _greedy_clique(graph.adjacency_masks())
+    """Maximal clique grown greedily by descending degree, then ascending index; a chromatic lower bound."""
+    masks = graph.masks
+    clique: list[int] = []
+    member = 0
+    for v in sorted(range(graph.n), key=lambda v: (-masks[v].bit_count(), v)):
+        if masks[v] & member == member:
+            clique.append(v)
+            member |= 1 << v
+    return clique
 
 
 def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
@@ -215,21 +216,10 @@ def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
     vertex: past about 990 vertices it exceeds Python's default recursion
     limit.
     """
-    return tuple(_color_with_limit(graph.adjacency_masks(), graph.n, []))
+    return tuple(_color_with_limit(graph.masks, graph.n, []))
 
 
-def _greedy_clique(masks: list[int]) -> list[int]:
-    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
-    clique: list[int] = []
-    member = 0
-    for v in order:
-        if masks[v] & member == member:
-            clique.append(v)
-            member |= 1 << v
-    return clique
-
-
-def _color_with_limit(masks: list[int], k: int, seed: list[int]) -> list[int] | None:
+def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[int] | None:
     """Proper coloring with at most k colors, or None.
 
     Backtracking with saturation-degree vertex selection; the seed clique is
@@ -328,12 +318,11 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
     terminates at the exact value.  Fully deterministic.
     """
     _check_solver_size(graph.n)
-    masks = graph.adjacency_masks()
-    clique = _greedy_clique(masks)
-    upper = tuple(_color_with_limit(masks, graph.n, []))
+    clique = greedy_clique(graph)
+    upper = greedy_coloring(graph)
     upper_k = max(upper) + 1
     for k in range(len(clique), upper_k):
-        witness = _color_with_limit(masks, k, clique)
+        witness = _color_with_limit(graph.masks, k, clique)
         if witness is not None:
             return k, tuple(witness)
     return upper_k, upper
@@ -343,8 +332,9 @@ def graph_from_json(data: dict) -> UnitDistanceGraph:
     """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}.
 
     _float_points checks a point list, and UnitDistanceGraph an edge list.
-    Only a list they refuse is checked against the schema element by
-    element, so a SchemaError names the first bad element's position.
+    Only a list they refuse, or the edges of more than MAX_VERTICES
+    vertices, is checked against the schema element by element, so a
+    SchemaError names the first bad element's position.
     """
     _, build = _read_graph_json(data)
     return build()
@@ -354,9 +344,10 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
     """A graph document's vertex count, and a function that builds its graph.
 
     The document's schema is checked first.  The count lets a caller refuse
-    a graph the solver cannot take before build_udg's pass over all pairs of
-    points, which a checked point list cannot fail; building an abstract
-    graph checks its edges, so it is built here.
+    a graph the solver cannot take before building it: before build_udg's
+    pass over all pairs of points, or an abstract graph's int per vertex.
+    Building checks an abstract graph's edges, so one the solver can take
+    is built here; a larger one is only checked against the schema.
     """
     if isinstance(data, dict) and "points" in data:
         require_keys(data, ("points",), "graph", optional=("tolerance",))
@@ -376,12 +367,20 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
     require_keys(data, ("n", "edges"), "graph")
     n = require_int(data["n"], "graph.n")
     edges = require_list(data["edges"], "graph.edges")
-    try:
-        if not all(isinstance(e, list) for e in edges):
-            raise ValueError("an edge is not a JSON array")  # the checks below name it
-        graph = UnitDistanceGraph(n, edges)
-    except ValueError as exc:
+
+    def build() -> UnitDistanceGraph:
+        try:
+            if not all(isinstance(e, list) for e in edges):
+                raise ValueError("an edge is not a JSON array")  # the checks below name it
+            return UnitDistanceGraph(n, edges)
+        except ValueError as exc:
+            for i, e in enumerate(edges):
+                require_index_pair(e, f"graph.edges[{i}]")
+            raise SchemaError(f"graph: {exc}") from exc
+
+    if n > MAX_VERTICES:
         for i, e in enumerate(edges):
             require_index_pair(e, f"graph.edges[{i}]")
-        raise SchemaError(f"graph: {exc}") from exc
+        return n, build
+    graph = build()
     return n, lambda: graph

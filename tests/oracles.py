@@ -37,7 +37,7 @@ from annulus_chroma.schema import (
     require_point,
     require_tolerance,
 )
-from annulus_chroma.udg import _PAIRS, UnitDistanceGraph, build_udg
+from annulus_chroma.udg import UnitDistanceGraph, build_udg
 
 TWO_PI = 2.0 * math.pi
 
@@ -198,7 +198,7 @@ def window_edge_coloring(rng: random.Random) -> tuple[RadialColoring, float]:
 
 def brute_chromatic(graph: UnitDistanceGraph) -> int:
     """Exhaustive chromatic number by backtracking in natural vertex order."""
-    masks = graph.adjacency_masks()
+    masks = graph.masks
     n = graph.n
 
     def colorable(k: int) -> bool:
@@ -311,7 +311,6 @@ def _reference_graph_from_edges(n, edges) -> UnitDistanceGraph:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         edge = (i, j) if i < j else (j, i)
-        edge = _PAIRS.get(edge, edge)
         if edge in seen:
             raise ValueError(f"duplicate edge {edge}")
         seen.add(edge)
@@ -361,7 +360,7 @@ def _reference_radial_coloring(annulus, boundaries, sector_colors, boundary_colo
 
 
 def reference_greedy_clique(graph: UnitDistanceGraph) -> list[int]:
-    masks = graph.adjacency_masks()
+    masks = graph.masks
     order = sorted(range(graph.n), key=lambda v: (-bin(masks[v]).count("1"), v))
     clique: list[int] = []
     for v in order:
@@ -371,7 +370,7 @@ def reference_greedy_clique(graph: UnitDistanceGraph) -> list[int]:
 
 
 def reference_greedy_coloring(graph: UnitDistanceGraph) -> tuple[int, ...]:
-    masks = graph.adjacency_masks()
+    masks = graph.masks
     colors = [-1] * graph.n
     sat = [0] * graph.n  # bitmask of colors adjacent to each vertex
     for _ in range(graph.n):
@@ -443,7 +442,7 @@ def reference_color_with_limit(masks: list[int], k: int, seed: list[int]) -> lis
 
 
 def reference_chromatic_number(graph: UnitDistanceGraph) -> tuple[int, tuple[int, ...]]:
-    masks = graph.adjacency_masks()
+    masks = graph.masks
     clique = reference_greedy_clique(graph)
     upper = reference_greedy_coloring(graph)
     upper_k = max(upper) + 1

@@ -355,6 +355,18 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == "error: graph has 20000 vertices; the exact solver is capped at 64\n"
 
+    @pytest.mark.parametrize(
+        "doc", [{"n": 10**19, "edges": [[0, 1]]}, {"n": 65, "edges": [[0, 0]]}], ids=["huge-n", "self-loop"]
+    )
+    def test_oversize_abstract_document_refused_unbuilt(self, capsys, tmp_path, doc):
+        # Building would fail on its own first: [0] * 10**19 raises OverflowError,
+        # and the self-loop would be refused as a graph error.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: graph has {doc['n']} vertices; the exact solver is capped at 64\n"
+
     def test_oversize_document_schema_checked_first(self, capsys, tmp_path):
         points = [[0.001 * k, 0.0] for k in range(100)]
         points[70] = [1.0]

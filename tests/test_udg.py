@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from annulus_chroma.gadgets import SPINDLE_EDGES, embed_odd_cycle, spindle_points
 from annulus_chroma.schema import SchemaError
 from annulus_chroma.udg import (
-    _PAIRS,
     MAX_VERTICES,
     UnitDistanceGraph,
     build_udg,
@@ -195,12 +194,32 @@ class TestGraphStructure:
         g = UnitDistanceGraph(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
 
-    def test_edge_tuples_shared_between_graphs(self):
-        a = UnitDistanceGraph(4, [(3, 1)])
-        b = UnitDistanceGraph(5, [[1, 3]])
-        assert a.edges[0] is b.edges[0]
-        big = UnitDistanceGraph(MAX_VERTICES + 2, [(MAX_VERTICES + 1, 0)])
-        assert big.edges == ((0, MAX_VERTICES + 1),)
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    @pytest.mark.parametrize("form", ["list", "tuple", "numpy", "generator"])
+    def test_bitsets_and_edges_across_the_solver_cap(self, n, form):
+        rng = random.Random(n)
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if j == n - 1 or rng.random() < 0.3]
+        masks = [0] * n
+        for i, j in pairs:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        canonical = UnitDistanceGraph(n, sorted(pairs))
+        for _ in range(3):
+            given = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+            rng.shuffle(given)
+            if form == "list":
+                given = [list(e) for e in given]
+            elif form == "tuple":
+                given = tuple(given)
+            elif form == "numpy":
+                given = np.array(given, dtype=np.int64).reshape(-1, 2)
+            else:
+                given = (e for e in given)
+            g = UnitDistanceGraph(n, given)
+            assert g.edges == tuple(sorted(pairs))
+            assert all(type(i) is int for edge in g.edges for i in edge)
+            assert g.masks == tuple(masks)
+            assert g == canonical and hash(g) == hash(canonical)
 
 
 class TestChromaticNumber:
@@ -402,10 +421,7 @@ class TestJson:
     @given(doc=graph_documents())
     @settings(max_examples=400, deadline=None)
     def test_same_outcome_as_the_element_by_element_loader(self, doc):
-        got = load_outcome(graph_from_json, doc)
-        assert got == load_outcome(reference_graph_from_json, doc)
-        if isinstance(got, UnitDistanceGraph) and got.n <= MAX_VERTICES:
-            assert all(edge is _PAIRS[edge] for edge in got.edges)
+        assert load_outcome(graph_from_json, doc) == load_outcome(reference_graph_from_json, doc)
 
     @given(doc=point_documents())
     @settings(max_examples=300, deadline=None)
@@ -527,11 +543,6 @@ class TestJson:
         with pytest.raises(SchemaError) as exc:
             graph_from_json(doc)
         assert str(exc.value) == message
-
-    def test_edges_are_the_shared_pairs(self):
-        g = graph_from_json({"n": MAX_VERTICES, "edges": [[63, 0], [5, 2], [0, 1]]})
-        assert g.edges == ((0, 1), (0, 63), (2, 5))
-        assert all(edge is _PAIRS[edge] for edge in g.edges)
 
     def test_large_graph_accepted(self):
         g = graph_from_json({"n": MAX_VERTICES + 6, "edges": [[MAX_VERTICES + 5, 0], [3, MAX_VERTICES + 1], [2, 1]]})
