@@ -86,7 +86,8 @@ class GadgetEmbedding:
             raise ValueError(f"unknown gadget kind {self.kind!r}")
         graph = UnitDistanceGraph(len(self.vertices), self.edges, self.vertices, DEFAULT_TOLERANCE)
         object.__setattr__(self, "vertices", graph.points)
-        object.__setattr__(self, "edges", graph.edges)
+        edges = graph.edges
+        object.__setattr__(self, "edges", edges)
         n = graph.n
         if self.kind == "odd_cycle":
             if n < 3 or n % 2 == 0:
@@ -94,7 +95,7 @@ class GadgetEmbedding:
             shape = (n, ((0, 1), (0, n - 1)) + tuple((k, k + 1) for k in range(1, n - 1)))
         else:
             shape = _SHAPES[self.kind]
-        if (n, graph.edges) != shape:
+        if (n, edges) != shape:
             raise ValueError(f"{self.kind} must carry the canonical {shape[0]}-vertex, {len(shape[1])}-edge adjacency")
 
 

@@ -1,11 +1,12 @@
 """Strict JSON schema helpers shared by the serializable types.
 
 Validation errors carry the position of the offending value (dotted path
-with list indices) so malformed documents are diagnosable.  An edge or
-coloring list is checked by the constructor that stores it, and a point
-list by the converter that stores it (udg._float_points); the loaders check
-a list element by element here only when that code refuses it, to name the
-first bad element.
+with list indices) so malformed documents are diagnosable.  A graph
+document's edges are checked here element by element before its graph is
+built.  A coloring list is checked by the constructor that stores it, and
+a point list by the converter that stores it (udg._float_points); the
+loaders check such a list element by element here only when that code
+refuses it, to name the first bad element.
 """
 
 from __future__ import annotations

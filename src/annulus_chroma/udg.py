@@ -17,11 +17,12 @@ neighbours its color newly reaches up one level with one AND per level
 in use, and the next vertex is found in the highest level that holds an
 uncolored one.
 
-UnitDistanceGraph alone checks edge lists, in one loop that reads
-self-loops and duplicates off the bitsets it builds, and _float_points the
-points that graph_from_json, build_udg and UnitDistanceGraph are given;
-graph_from_json checks a list they refuse against the schema, to name the
-bad element's position.
+UnitDistanceGraph checks edge lists, in one loop that reads self-loops
+and duplicates off the bitsets it builds, and _float_points the points
+that graph_from_json, build_udg and UnitDistanceGraph are given.
+graph_from_json checks each edge of a document against the schema before
+it builds, and a point list only when _float_points refuses it, to name
+the bad element's position.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class UnitDistanceGraph:
     pairs of finite real numbers (not bools or strings), stored as floats,
     and every edge must join a pair at distance 1 within the tolerance (the
     converse is enforced by build_udg, not by the type).  The graph holds
-    one int per vertex, so an absurd n fails as [0] * n would.
+    one int of up to n bits per vertex, so an absurd n fails as [0] * n
+    would, and building it or reading edges (derived again on each access)
+    takes time that grows with n times the edge count.
     """
 
     n: int
@@ -82,15 +85,12 @@ class UnitDistanceGraph:
             iter(edges)
         except TypeError:
             raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}") from None
-        # Types and ranges are checked edge by edge unless one bulk pass
-        # accepts them all; the loop names the first bad edge either way.
-        check = not _plain_edges(n, edges)
         masks = [0] * n
         for edge in edges:
-            i, j = _index_pair(edge) if check else edge
+            i, j = _index_pair(edge)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if check and not (0 <= i < n and 0 <= j < n):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             if masks[i] >> j & 1:
                 raise ValueError(f"duplicate edge {(i, j) if i < j else (j, i)}")
@@ -119,16 +119,6 @@ class UnitDistanceGraph:
                 edges.append((i, low.bit_length() - 1))
                 higher ^= low
         return tuple(edges)
-
-
-def _plain_edges(n: int, edges) -> bool:
-    """True when edges is a list or tuple of two-int lists or tuples, every index in range(n)."""
-    if type(edges) not in (list, tuple):
-        return False
-    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
-        return False
-    flat = list(itertools.chain.from_iterable(edges))
-    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and max(flat, default=0) < n
 
 
 def _index_pair(edge) -> tuple[int, int]:
@@ -331,10 +321,10 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
 def graph_from_json(data: dict) -> UnitDistanceGraph:
     """Accepts either the geometric form {points, tolerance} or the abstract {n, edges}.
 
-    _float_points checks a point list, and UnitDistanceGraph an edge list.
-    Only a list they refuse, or the edges of more than MAX_VERTICES
-    vertices, is checked against the schema element by element, so a
-    SchemaError names the first bad element's position.
+    Each edge is checked against the schema, and a point list only when
+    _float_points refuses it, so a SchemaError names the first bad
+    element's position.  A self-loop, duplicate or out-of-range edge raises
+    a SchemaError with UnitDistanceGraph's message.
     """
     _, build = _read_graph_json(data)
     return build()
@@ -346,8 +336,6 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
     The document's schema is checked first.  The count lets a caller refuse
     a graph the solver cannot take before building it: before build_udg's
     pass over all pairs of points, or an abstract graph's int per vertex.
-    Building checks an abstract graph's edges, so one the solver can take
-    is built here; a larger one is only checked against the schema.
     """
     if isinstance(data, dict) and "points" in data:
         require_keys(data, ("points",), "graph", optional=("tolerance",))
@@ -367,20 +355,16 @@ def _read_graph_json(data) -> tuple[int, Callable[[], UnitDistanceGraph]]:
     require_keys(data, ("n", "edges"), "graph")
     n = require_int(data["n"], "graph.n")
     edges = require_list(data["edges"], "graph.edges")
+    for i, e in enumerate(edges):
+        # Only an edge that is not two plain ints builds its position string:
+        # for every edge, that would double the time to load a document.
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            require_index_pair(e, f"graph.edges[{i}]")
 
     def build() -> UnitDistanceGraph:
         try:
-            if not all(isinstance(e, list) for e in edges):
-                raise ValueError("an edge is not a JSON array")  # the checks below name it
             return UnitDistanceGraph(n, edges)
         except ValueError as exc:
-            for i, e in enumerate(edges):
-                require_index_pair(e, f"graph.edges[{i}]")
             raise SchemaError(f"graph: {exc}") from exc
 
-    if n > MAX_VERTICES:
-        for i, e in enumerate(edges):
-            require_index_pair(e, f"graph.edges[{i}]")
-        return n, build
-    graph = build()
-    return n, lambda: graph
+    return n, build
