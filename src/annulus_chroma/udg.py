@@ -13,8 +13,9 @@ its edge list is derived from them; the uncolored vertices are one int,
 each color c keeps the int of uncolored vertices with a neighbour of
 color c, and each saturation level s keeps the int of vertices whose
 neighbours carry s distinct colors.  Painting a vertex moves the
-neighbours its color newly reaches up one level with one AND per level
-in use, and the next vertex is found in the highest level that holds an
+neighbours its color newly reaches up one level, walking down from the
+highest level they can sit in and stopping once all of them have moved,
+and the next vertex is found in the highest level that holds an
 uncolored one.
 
 UnitDistanceGraph checks edge lists, in one loop that reads self-loops
@@ -46,7 +47,7 @@ from .schema import (
     require_tolerance,
 )
 
-MAX_VERTICES = 64
+MAX_VERTICES = 512
 
 ColoringAssignment = tuple[int, ...]
 
@@ -65,9 +66,10 @@ class UnitDistanceGraph:
     pairs of finite real numbers (not bools or strings), stored as floats,
     and every edge must join a pair at distance 1 within the tolerance (the
     converse is enforced by build_udg, not by the type).  The graph holds
-    one int of up to n bits per vertex, so an absurd n fails as [0] * n
-    would, and building it or reading edges (derived again on each access)
-    takes time that grows with n times the edge count.
+    one int of up to n bits per vertex: an n too large to index a list
+    raises ValueError, a smaller n that does not fit in memory fails as
+    [0] * n would, and building the graph or reading edges (derived again
+    on each access) takes time that grows with n times the edge count.
     """
 
     n: int
@@ -85,7 +87,10 @@ class UnitDistanceGraph:
             iter(edges)
         except TypeError:
             raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}") from None
-        masks = [0] * n
+        try:
+            masks = [0] * n
+        except OverflowError:
+            raise ValueError(f"vertex count {n} is too large to store") from None
         for edge in edges:
             i, j = _index_pair(edge)
             if i == j:
@@ -226,9 +231,11 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
     lowest-index member of the highest level that meets free, and when that
     level is k the vertex has no color left.  Painting v with c adds v's
     uncolored neighbours not yet in near[c] to near[c] and moves them up
-    one level, with one AND per level in use; unpainting moves that same
-    set back.  Vertices are unpainted in reverse order, so the bits of an
-    uncolored vertex are never stale.
+    one level: a walk down the levels from the highest they can sit in,
+    which stops once all of them have moved, at the lowest level that holds
+    one of them.  Unpainting moves that same set back down the same way.
+    Vertices are unpainted in reverse order, so the bits of an uncolored
+    vertex are never stale.
     """
     n = len(masks)
     colors = [-1] * n
@@ -273,21 +280,30 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
             colors[v] = c
             new = neighbours & ~near[c]
             near[c] |= new
-            # A vertex of new sees at most the colors in use, and not c:
-            # it moves up from a level <= used.  The moves run top down
-            # (and back bottom up), so that no vertex moves twice.
+            # A vertex of new is uncolored, so it sits in one level; it sees
+            # at most the colors in use, and not c: it moves up from a level
+            # <= used, and back down from one <= used + 1.  Each walk goes
+            # down from there and stops once all of new has moved.
             used = c if c > max_used else max_used
-            for s in range(used, -1, -1):
-                moved = level[s] & new
+            rest = new
+            s = used
+            while rest:
+                moved = level[s] & rest
                 level[s] ^= moved
                 level[s + 1] |= moved
+                rest ^= moved
+                s -= 1
             if extend(free, used):
                 return True
             near[c] ^= new
-            for s in range(1, used + 2):
-                moved = level[s] & new
+            rest = new
+            s = used + 1
+            while rest:
+                moved = level[s] & rest
                 level[s] ^= moved
                 level[s - 1] |= moved
+                rest ^= moved
+                s -= 1
         return False
 
     if extend(free, len(seed) - 1):

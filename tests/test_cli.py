@@ -340,10 +340,10 @@ class TestSolve:
 
     def test_oversize_graph(self, capsys, tmp_path):
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({"n": 65, "edges": [[0, 1]]}))
+        path.write_text(json.dumps({"n": 513, "edges": [[0, 1]]}))
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
-        assert err == "error: graph has 65 vertices; the exact solver is capped at 64\n"
+        assert err == "error: graph has 513 vertices; the exact solver is capped at 512\n"
 
     def test_oversize_points_refused_before_the_graph_is_built(self, capsys, tmp_path):
         # Building would check all 2 * 10^8 pairs of points, about a minute.
@@ -353,29 +353,29 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(path))
         assert time.perf_counter() - start < 10.0
         assert (code, out) == (2, "")
-        assert err == "error: graph has 20000 vertices; the exact solver is capped at 64\n"
+        assert err == "error: graph has 20000 vertices; the exact solver is capped at 512\n"
 
     @pytest.mark.parametrize(
-        "doc", [{"n": 10**19, "edges": [[0, 1]]}, {"n": 65, "edges": [[0, 0]]}], ids=["huge-n", "self-loop"]
+        "doc", [{"n": 10**19, "edges": [[0, 1]]}, {"n": 513, "edges": [[0, 0]]}], ids=["huge-n", "self-loop"]
     )
     def test_oversize_abstract_document_refused_unbuilt(self, capsys, tmp_path, doc):
-        # Building would fail on its own first: [0] * 10**19 raises OverflowError,
-        # and the self-loop would be refused as a graph error.
+        # Building would fail on its own first: the vertex count 10**19 and the
+        # self-loop would each be refused as a graph error.
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "solve", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: graph has {doc['n']} vertices; the exact solver is capped at 64\n"
+        assert err == f"error: graph has {doc['n']} vertices; the exact solver is capped at 512\n"
 
     def test_oversize_document_schema_checked_first(self, capsys, tmp_path):
-        points = [[0.001 * k, 0.0] for k in range(100)]
-        points[70] = [1.0]
+        points = [[0.001 * k, 0.0] for k in range(600)]
+        points[570] = [1.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": points}))
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
-        assert err == "error: graph.points[70]: expected [x, y], got 1 entries\n"
-        path.write_text(json.dumps({"n": 65, "edges": [[0, "x"]]}))
+        assert err == "error: graph.points[570]: expected [x, y], got 1 entries\n"
+        path.write_text(json.dumps({"n": 513, "edges": [[0, "x"]]}))
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert err == "error: graph.edges[0][1]: expected an integer, got str\n"

@@ -142,13 +142,19 @@ class TestGraphStructure:
         with pytest.raises(ValueError, match="vertex count must be an integer"):
             UnitDistanceGraph(n, [(0, 1)])
 
+    def test_vertex_count_too_large_to_store_rejected(self):
+        # [0] * 10**19 raises OverflowError before it allocates anything.
+        with pytest.raises(ValueError) as exc:
+            UnitDistanceGraph(10**19, [(0, 1)])
+        assert str(exc.value) == "vertex count 10000000000000000000 is too large to store"
+
     def test_edge_length_validated_when_points_given(self):
         with pytest.raises(ValueError):
             UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (0.5, 0.0)), 1e-9)
         with pytest.raises(ValueError, match="expected 3 points, got 2"):
             UnitDistanceGraph(3, ((0, 1),), ((0.0, 0.0), (1.0, 0.0)), 1e-9)
 
-    @pytest.mark.parametrize("n", [3, MAX_VERTICES + 1])
+    @pytest.mark.parametrize("n", [3, 65, MAX_VERTICES + 1])
     @pytest.mark.parametrize(
         "edges, message",
         [
@@ -194,7 +200,7 @@ class TestGraphStructure:
         g = UnitDistanceGraph(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 511, 512, 513])
     @pytest.mark.parametrize("form", ["list", "tuple", "numpy", "generator"])
     def test_bitsets_and_edges_across_the_solver_cap(self, n, form):
         rng = random.Random(n)
@@ -290,6 +296,30 @@ class TestChromaticNumber:
         g = UnitDistanceGraph(MAX_VERTICES, [(0, 1)])
         assert chromatic_number_exact(g)[0] == 2
 
+    @pytest.mark.parametrize("n, chi", [(511, 3), (512, 2)])
+    def test_cycles_at_the_cap(self, n, chi):
+        # The search recurses once per vertex: up to the cap it stays under
+        # Python's default recursion limit.
+        g = _cycle(n)
+        result, witness = chromatic_number_exact(g)
+        assert result == chi
+        assert is_proper(g, witness)
+
+
+def _cycle(n: int) -> UnitDistanceGraph:
+    return UnitDistanceGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _disjoint_union(graphs: list[UnitDistanceGraph], rng: random.Random) -> UnitDistanceGraph:
+    """The graphs side by side, with all vertices relabelled by one shuffle."""
+    perm = list(range(sum(g.n for g in graphs)))
+    rng.shuffle(perm)
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(perm[offset + i], perm[offset + j]) for i, j in g.edges]
+        offset += g.n
+    return UnitDistanceGraph(len(perm), edges)
+
 
 def _same_as_reference(graph: UnitDistanceGraph) -> bool:
     return (
@@ -311,8 +341,11 @@ class TestReferenceIdentity:
             (build_udg(list(spindle_points()), 1e-9), 4),
             (mycielski(4, random.Random(4)), 4),
             (mycielski(5, random.Random(5)), 5),
+            (_cycle(65), 3),
+            (_cycle(101), 3),
+            (_disjoint_union([mycielski(4, random.Random(seed)) for seed in range(12)], random.Random(12)), 4),
         ],
-        ids=["edgeless", "K1", "K64", "spindle", "relabelled-M4", "relabelled-M5"],
+        ids=["edgeless", "K1", "K64", "spindle", "relabelled-M4", "relabelled-M5", "C65", "C101", "12-relabelled-M4"],
     )
     def test_fixed_graphs(self, graph, chi):
         assert _same_as_reference(graph)
@@ -331,6 +364,15 @@ class TestReferenceIdentity:
         for i in range(30):
             n = 48 + 16 * i // 29
             graph = _gnp(rng, n, 0.08 + 0.17 * i / 29)
+            assert _same_as_reference(graph), f"graph {i}: n={graph.n}, edges={graph.edges}"
+
+    def test_sparse_random_graphs_beyond_64_vertices(self):
+        # 80 to 200 vertices, past the old 64-vertex cap, of average degree
+        # 3 to 7: chi is 3 or 4, and the searches backtrack.
+        rng = random.Random(2014)
+        for i in range(20):
+            n = 80 + 120 * i // 19
+            graph = _gnp(rng, n, (3 + 4 * i / 19) / n)
             assert _same_as_reference(graph), f"graph {i}: n={graph.n}, edges={graph.edges}"
 
     def test_hard_dense_graph(self):
@@ -543,6 +585,12 @@ class TestJson:
         with pytest.raises(SchemaError) as exc:
             graph_from_json(doc)
         assert str(exc.value) == message
+
+    def test_vertex_count_too_large_to_store_rejected(self):
+        # This raised OverflowError from [0] * n.
+        with pytest.raises(SchemaError) as exc:
+            graph_from_json({"n": 10**19, "edges": [[0, 1]]})
+        assert str(exc.value) == "graph: vertex count 10000000000000000000 is too large to store"
 
     def test_large_graph_accepted(self):
         g = graph_from_json({"n": MAX_VERTICES + 6, "edges": [[MAX_VERTICES + 5, 0], [3, MAX_VERTICES + 1], [2, 1]]})
