@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import DEFAULT_TOLERANCE, Annulus, Point, TWO_PI, unit_chord_angle
 from .radial import thresholds
-from .udg import UnitDistanceGraph
+from .udg import _float_points
 
 # Half-width above which the gadget fits strictly inside the annulus: T3.
 TRI_ROD_THRESHOLD = thresholds()[0].max_r
@@ -33,8 +33,6 @@ SPINDLE_EDGES = (
     (3, 6),
     (4, 5), (4, 6), (5, 6),
 )
-
-GADGET_KINDS = ("rod", "odd_cycle", "tri_rod", "moser_spindle")
 
 # Vertex count and sorted edges of each kind but the odd cycle, whose length varies.
 _SHAPES = {"rod": (2, ((0, 1),)), "tri_rod": (3, ((0, 1), (0, 2), (1, 2))), "moser_spindle": (7, SPINDLE_EDGES)}
@@ -70,33 +68,38 @@ class GadgetEmbedding:
     """Concrete placement of a gadget: vertices, unit edges, boundary clearance.
 
     margin is the signed minimal clearance of any vertex from the two
-    annulus circles; interior embeddings have margin > 0.  Vertices and
-    edges are checked as a UnitDistanceGraph at DEFAULT_TOLERANCE, whose
-    canonical edges the embedding keeps.
+    annulus circles; interior embeddings have margin > 0.  edges are not
+    given but follow from the kind, as sorted pairs: those of _SHAPES, or
+    for an odd cycle of n vertices (k, k + 1) and (0, n - 1).  The vertices
+    are stored as float pairs, their count must be the kind's, and each
+    edge must be 1 long within DEFAULT_TOLERANCE.
     """
 
     kind: str
     params: dict
     vertices: tuple[Point, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] = field(init=False)
     margin: float
 
     def __post_init__(self) -> None:
-        if self.kind not in GADGET_KINDS:
-            raise ValueError(f"unknown gadget kind {self.kind!r}")
-        graph = UnitDistanceGraph(len(self.vertices), self.edges, self.vertices, DEFAULT_TOLERANCE)
-        object.__setattr__(self, "vertices", graph.points)
-        edges = graph.edges
-        object.__setattr__(self, "edges", edges)
-        n = graph.n
+        vertices = _float_points(self.vertices)
+        object.__setattr__(self, "vertices", vertices)
+        n = len(vertices)
         if self.kind == "odd_cycle":
             if n < 3 or n % 2 == 0:
                 raise ValueError(f"odd_cycle needs an odd vertex count >= 3, got {n}")
             shape = (n, ((0, 1), (0, n - 1)) + tuple((k, k + 1) for k in range(1, n - 1)))
-        else:
+        elif self.kind in _SHAPES:
             shape = _SHAPES[self.kind]
-        if (n, edges) != shape:
-            raise ValueError(f"{self.kind} must carry the canonical {shape[0]}-vertex, {len(shape[1])}-edge adjacency")
+        else:
+            raise ValueError(f"unknown gadget kind {self.kind!r}")
+        if n != shape[0]:
+            raise ValueError(f"{self.kind} needs {shape[0]} vertices, got {n}")
+        for i, j in shape[1]:
+            d = math.dist(vertices[i], vertices[j])
+            if not abs(d - 1.0) <= DEFAULT_TOLERANCE:  # NaN fails too
+                raise ValueError(f"{self.kind} edge ({i}, {j}) has length {d}, not 1 within {DEFAULT_TOLERANCE}")
+        object.__setattr__(self, "edges", shape[1])
 
 
 def margin_of(vertices, annulus: Annulus) -> float:
@@ -124,7 +127,6 @@ def embed_rod(r: float) -> GadgetEmbedding:
         kind="rod",
         params={"r": r, "rho": rho},
         vertices=vertices,
-        edges=((0, 1),),
         margin=margin_of(vertices, annulus),
     )
 
@@ -155,12 +157,10 @@ def embed_odd_cycle(r: float) -> GadgetEmbedding:
     rho = _star_radius(n)
     step = TWO_PI * w / n
     vertices = tuple((rho * math.cos(step * k), rho * math.sin(step * k)) for k in range(n))
-    edges = tuple((k, k + 1) for k in range(n - 1)) + ((0, n - 1),)
     return GadgetEmbedding(
         kind="odd_cycle",
         params={"r": r, "n": n, "w": w, "rho": rho},
         vertices=vertices,
-        edges=edges,
         margin=margin_of(vertices, annulus),
     )
 
@@ -185,7 +185,6 @@ def embed_trirod(r: float) -> GadgetEmbedding:
         kind="tri_rod",
         params={"r": r, "rho": rho},
         vertices=vertices,
-        edges=((0, 1), (0, 2), (1, 2)),
         margin=margin,
     )
 
@@ -235,7 +234,6 @@ def embed_moser_spindle(r: float) -> GadgetEmbedding:
         kind="moser_spindle",
         params={"r": r, "rotation": 0.0, "translation": [shift, 0.0]},
         vertices=vertices,
-        edges=SPINDLE_EDGES,
         margin=margin_of(vertices, annulus),
     )
 

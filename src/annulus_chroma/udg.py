@@ -18,12 +18,12 @@ highest level they can sit in and stopping once all of them have moved,
 and the next vertex is found in the highest level that holds an
 uncolored one.
 
-UnitDistanceGraph checks edge lists, in one loop that reads self-loops
-and duplicates off the bitsets it builds, and _float_points the points
-that graph_from_json, build_udg and UnitDistanceGraph are given.
-graph_from_json checks each edge of a document against the schema before
-it builds, and a point list only when _float_points refuses it, to name
-the bad element's position.
+UnitDistanceGraph holds no points.  It checks edge lists, in one loop
+that reads self-loops and duplicates off the bitsets it builds;
+_float_points checks the points that graph_from_json and build_udg are
+given, and a gadget embedding's vertices.  graph_from_json checks each
+edge of a document against the schema before it builds, and a point list
+only when _float_points refuses it, to name the bad element's position.
 """
 
 from __future__ import annotations
@@ -54,18 +54,15 @@ ColoringAssignment = tuple[int, ...]
 
 @dataclass(frozen=True, init=False)
 class UnitDistanceGraph:
-    """Graph on indexed vertices, optionally carrying planar coordinates.
+    """Graph on indexed vertices, stored as its adjacency bitsets.
 
-    The graph is stored as its adjacency bitsets: masks[v] is the int whose
-    bit u is set when u and v are joined, the form the exact solver reads.
-    edges is derived from them, as the sorted pairs (i, j) with i < j.
+    masks[v] is the int whose bit u is set when u and v are joined, the
+    form the exact solver reads.  edges is derived from them, as the sorted
+    pairs (i, j) with i < j.  The type carries no coordinates: build_udg
+    makes the graph of a point set.
 
     An edge is a pair of distinct vertex indices in range(n), of any integer
-    type but bool, given in either order and at most once.  The tolerance
-    must be finite and nonnegative.  When points are present, they must be
-    pairs of finite real numbers (not bools or strings), stored as floats,
-    and every edge must join a pair at distance 1 within the tolerance (the
-    converse is enforced by build_udg, not by the type).  The graph holds
+    type but bool, given in either order and at most once.  The graph holds
     one int of up to n bits per vertex: an n too large to index a list
     raises ValueError, a smaller n that does not fit in memory fails as
     [0] * n would, and building the graph or reading edges (derived again
@@ -74,15 +71,12 @@ class UnitDistanceGraph:
 
     n: int
     masks: tuple[int, ...]
-    points: tuple[Point, ...] | None = None
-    tolerance: float = DEFAULT_TOLERANCE
 
-    def __init__(self, n: int, edges, points=None, tolerance: float = DEFAULT_TOLERANCE) -> None:
+    def __init__(self, n: int, edges) -> None:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        _check_tolerance(tolerance)
         try:
             iter(edges)
         except TypeError:
@@ -103,16 +97,6 @@ class UnitDistanceGraph:
             masks[j] |= 1 << i
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "tolerance", tolerance)
-        if points is not None:
-            points = _float_points(points)
-            if len(points) != n:
-                raise ValueError(f"expected {n} points, got {len(points)}")
-            for i, j in self.edges:
-                d = math.dist(points[i], points[j])
-                if not abs(d - 1.0) <= tolerance:  # NaN fails too
-                    raise ValueError(f"edge ({i}, {j}) has length {d}, not 1 within {tolerance}")
-        object.__setattr__(self, "points", points)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -182,7 +166,7 @@ def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> Unit
         for j in range(i + 1, len(pts)):
             if abs(math.dist(pts[i], pts[j]) - 1.0) <= tolerance:
                 edges.append((i, j))
-    return UnitDistanceGraph(len(pts), tuple(edges), tuple(pts), tolerance)
+    return UnitDistanceGraph(len(pts), edges)
 
 
 def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
@@ -321,7 +305,10 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
 
     Searches k = |clique|, |clique|+1, ... until a k-coloring exists; the
     greedy coloring bounds the search from above, so the loop always
-    terminates at the exact value.  Fully deterministic.
+    terminates at the exact value.  Fully deterministic.  A graph of more
+    than MAX_VERTICES (512) vertices raises ValueError: the search recurses
+    once per vertex, and 512 keeps it under Python's default recursion
+    limit.
     """
     _check_solver_size(graph.n)
     clique = greedy_clique(graph)

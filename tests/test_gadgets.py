@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from annulus_chroma.gadgets import (
 )
 from annulus_chroma.geometry import Annulus
 from annulus_chroma.radial import thresholds
-from annulus_chroma.udg import UnitDistanceGraph, build_udg, chromatic_number_exact
+from annulus_chroma.udg import build_udg, chromatic_number_exact
 from oracles import reference_odd_cycle
 
 # The same 7-vertex graph under an unrelated labeling: rhombus 0-1-3-2 with
@@ -347,50 +348,92 @@ class TestLowerBound:
                 assert annulus.contains(v)
 
 
+def _unit_pair_rs():
+    """A seeded sweep of r, and 4 floats either side of each threshold and odd-cycle switch point."""
+    rng = random.Random(22)
+    rs = [rng.uniform(1e-9, 0.4999) for _ in range(200)] + [10.0 ** rng.uniform(-5.0, -0.302) for _ in range(200)]
+    switches = [1.0 / (2.0 * math.sin(math.pi * ((n - 1) // 2) / n)) - 0.5 for n in range(5, 101, 2)]
+    for threshold in [ODD_CYCLE_THRESHOLD, TRI_ROD_THRESHOLD, SPINDLE_THRESHOLD] + switches:
+        below = above = threshold
+        rs.append(threshold)
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            rs += [below, above]
+    return rs
+
+
+class TestEdgesAreTheUnitPairs:
+    """An embedding's edges follow from its kind; build_udg finds exactly them from its vertices."""
+
+    @pytest.mark.parametrize("embed", [embed_rod, embed_odd_cycle, embed_trirod, embed_moser_spindle])
+    def test_each_embedder(self, embed):
+        embedded = 0
+        for r in _unit_pair_rs():
+            try:
+                emb = embed(r)
+            except GadgetInfeasible:
+                continue
+            assert build_udg(emb.vertices).edges == emb.edges, r
+            embedded += 1
+        assert embedded >= 20
+
+    def test_every_lower_bound_certificate(self):
+        kinds = set()
+        for r in _unit_pair_rs():
+            try:
+                certificates = gadget_lower_bound(r).certificates
+            except GadgetInfeasible:
+                continue
+            for kind, emb in certificates:
+                assert build_udg(emb.vertices).edges == emb.edges, (kind, r)
+                kinds.add(kind)
+        assert kinds == {"odd_cycle", "tri_rod", "moser_spindle"}
+
+
 class TestEmbeddingType:
     def test_non_unit_edge_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            GadgetEmbedding("rod", {}, ((0.0, 0.0), (0.5, 0.0)), ((0, 1),), 0.1)
+        with pytest.raises(ValueError, match=r"rod edge \(0, 1\) has length 0.5, not 1"):
+            GadgetEmbedding("rod", {}, ((0.0, 0.0), (0.5, 0.0)), 0.1)
 
     def test_wrong_shape_rejected(self):
-        pts, edges = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), ((0, 1),)
-        UnitDistanceGraph(len(pts), edges, pts)  # unit edges: only the shape is wrong
-        with pytest.raises(ValueError, match="rod"):
-            GadgetEmbedding("rod", {}, pts, edges, 0.1)
+        # Unit steps, but a rod has two vertices.
+        with pytest.raises(ValueError, match="rod needs 2 vertices, got 3"):
+            GadgetEmbedding("rod", {}, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), 0.1)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            GadgetEmbedding("hexagon", {}, ((0.0, 0.0), (1.0, 0.0)), ((0, 1),), 0.1)
+        with pytest.raises(ValueError, match="unknown gadget kind 'hexagon'"):
+            GadgetEmbedding("hexagon", {}, ((0.0, 0.0), (1.0, 0.0)), 0.1)
 
     def test_even_cycle_rejected(self):
-        square, edges = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), ((0, 1), (1, 2), (2, 3), (0, 3))
-        UnitDistanceGraph(len(square), edges, square)
+        square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError, match="odd_cycle needs an odd vertex count >= 3, got 4"):
-            GadgetEmbedding("odd_cycle", {}, square, edges, 0.1)
+            GadgetEmbedding("odd_cycle", {}, square, 0.1)
 
     @pytest.mark.parametrize(
-        "kind, vertices, edges",
+        "kind, vertices, edge",
         [
-            ("tri_rod", embed_trirod(0.1).vertices, ((0, 1), (1, 2))),
-            ("moser_spindle", spindle_points(), SPINDLE_EDGES[:-1]),
-            # The unit 5-cycle at r = 0.05 with vertices 1 and 2 swapped: edge (0, 2) skips index 1.
-            ("odd_cycle", tuple(embed_odd_cycle(0.05).vertices[k] for k in (0, 2, 1, 3, 4)),
-             ((0, 2), (1, 2), (1, 3), (3, 4), (0, 4))),
+            # Vertex 2 moved to 1 right of vertex 0: edge (1, 2) is sqrt(3) long.
+            ("tri_rod", embed_trirod(0.1).vertices[:2] + ((1.0, 1.0 / math.sqrt(3.0)),), (1, 2)),
+            # Apex 6 folded onto the hub: its rhombus edges stay unit, the apex edge is sqrt(3) long.
+            ("moser_spindle", spindle_points()[:6] + spindle_points()[:1], (3, 6)),
+            # The unit 5-cycle at r = 0.05 with vertices 1 and 2 swapped: its unit pairs skip index 1.
+            ("odd_cycle", tuple(embed_odd_cycle(0.05).vertices[k] for k in (0, 2, 1, 3, 4)), (0, 1)),
         ],
         ids=["tri_rod-two-edges", "spindle-ten-edges", "cycle-skipping-an-index"],
     )
-    def test_partial_shape_rejected(self, kind, vertices, edges):
-        UnitDistanceGraph(len(vertices), edges, vertices)
-        with pytest.raises(ValueError, match=f"{kind} must carry the canonical"):
-            GadgetEmbedding(kind, {}, vertices, edges, 0.1)
+    def test_partial_shape_rejected(self, kind, vertices, edge):
+        # The right vertex count, but the unit pairs miss an edge of the kind.
+        assert edge not in build_udg(vertices).edges
+        with pytest.raises(ValueError, match=rf"{kind} edge \({edge[0]}, {edge[1]}\) has length"):
+            GadgetEmbedding(kind, {}, vertices, 0.1)
 
     @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
     def test_edge_to_non_finite_vertex_rejected(self, coordinate):
-        with pytest.raises(ValueError, match="finite"):
-            GadgetEmbedding("rod", {}, ((0.0, 0.0), (coordinate, 0.0)), ((0, 1),), 0.1)
+        with pytest.raises(ValueError, match="point 1 must have finite coordinates"):
+            GadgetEmbedding("rod", {}, ((0.0, 0.0), (coordinate, 0.0)), 0.1)
 
-    def test_edges_canonicalised(self):
-        emb = GadgetEmbedding("tri_rod", {}, embed_trirod(0.1).vertices, ((2, 1), (1, 0), (0, 2)), 0.1)
-        assert emb.edges == ((0, 1), (0, 2), (1, 2))
-        with pytest.raises(ValueError, match="duplicate"):
-            GadgetEmbedding("rod", {}, ((0.0, 0.0), (1.0, 0.0)), ((0, 1), (1, 0)), 0.1)
+    def test_edges_follow_from_the_kind(self):
+        assert [f.name for f in dataclasses.fields(GadgetEmbedding) if f.init] == ["kind", "params", "vertices", "margin"]
+        assert GadgetEmbedding("tri_rod", {}, embed_trirod(0.1).vertices, 0.1).edges == ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(TypeError):
+            GadgetEmbedding("rod", {}, ((0.0, 0.0), (1.0, 0.0)), ((0, 1),), 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -96,15 +97,12 @@ class TestBuildUdg:
         with pytest.raises(ValueError) as exc:
             build_udg(points)
         assert str(exc.value) == message
-        with pytest.raises(ValueError) as exc:
-            UnitDistanceGraph(len(points), [], points)
-        assert str(exc.value) == message
 
     def test_numpy_and_integer_coordinates_accepted(self):
         expected = build_udg([(0.0, 0.0), (1.0, 0.0)])
         assert build_udg([(0, 0), [1, 0]]) == expected
         assert build_udg(np.array([[0.0, 0.0], [1.0, 0.0]])) == expected
-        assert all(type(c) is float for p in build_udg(np.array([[0, 0], [1, 0]])).points for c in p)
+        assert build_udg(np.array([[0, 0], [1, 0]])) == expected
 
 
 class TestGraphStructure:
@@ -122,15 +120,20 @@ class TestGraphStructure:
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
-        # An infinite tolerance would make any edge "unit", here one of length 5.
+        # An infinite tolerance would make any pair "unit", here one 5 apart.
         with pytest.raises(ValueError, match="finite"):
-            UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (5.0, 0.0)), tolerance)
+            build_udg(((0.0, 0.0), (5.0, 0.0)), tolerance)
 
     @pytest.mark.parametrize("coordinate", [math.nan, math.inf])
     def test_edge_to_non_finite_point_rejected(self, coordinate):
-        # abs(nan - 1.0) > tol is False, so a NaN length must not pass as unit.
+        # abs(nan - 1.0) > tol is False, so a NaN distance must not pass as unit.
         with pytest.raises(ValueError, match="point 1 must have finite coordinates"):
-            UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (coordinate, 0.0)))
+            build_udg(((0.0, 0.0), (coordinate, 0.0)))
+
+    def test_graph_holds_only_its_adjacency(self):
+        assert [f.name for f in dataclasses.fields(UnitDistanceGraph)] == ["n", "masks"]
+        with pytest.raises(TypeError):
+            UnitDistanceGraph(2, [(0, 1)], ((0.0, 0.0), (1.0, 0.0)))
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -147,12 +150,6 @@ class TestGraphStructure:
         with pytest.raises(ValueError) as exc:
             UnitDistanceGraph(10**19, [(0, 1)])
         assert str(exc.value) == "vertex count 10000000000000000000 is too large to store"
-
-    def test_edge_length_validated_when_points_given(self):
-        with pytest.raises(ValueError):
-            UnitDistanceGraph(2, ((0, 1),), ((0.0, 0.0), (0.5, 0.0)), 1e-9)
-        with pytest.raises(ValueError, match="expected 3 points, got 2"):
-            UnitDistanceGraph(3, ((0, 1),), ((0.0, 0.0), (1.0, 0.0)), 1e-9)
 
     @pytest.mark.parametrize("n", [3, 65, MAX_VERTICES + 1])
     @pytest.mark.parametrize(
@@ -180,7 +177,7 @@ class TestGraphStructure:
         [
             (lambda: UnitDistanceGraph(3, 5), "edges must be an iterable of vertex pairs, got 5"),
             (lambda: UnitDistanceGraph(MAX_VERTICES + 1, None), "edges must be an iterable of vertex pairs, got None"),
-            (lambda: UnitDistanceGraph(2, [], 5), "points must be an iterable of (x, y) pairs, got 5"),
+            (lambda: build_udg(None, 1e-9), "points must be an iterable of (x, y) pairs, got None"),
             (lambda: build_udg(5), "points must be an iterable of (x, y) pairs, got 5"),
         ],
         ids=["edges", "edges-oversize", "points", "build-points"],
@@ -480,7 +477,6 @@ class TestJson:
     def test_abstract_form_literal(self):
         g = graph_from_json(json.loads('{"n": 5, "edges": [[0, 1], [4, 2]]}'))
         assert g == UnitDistanceGraph(5, [(0, 1), (2, 4)])
-        assert g.points is None
 
     def test_points_form_default_tolerance(self):
         g = graph_from_json({"points": [[0.0, 0.0], [1.0, 0.0]]})
