@@ -209,7 +209,7 @@ def cmd_embed(args) -> int:
             f"edges={len(embedding.edges)}",
             f"margin={embedding.margin!r}",
         ]
-        for key, value in sorted(embedding.params.items()):
+        for key, value in sorted(embedding_to_json(embedding)["params"].items()):
             lines.append(f"param {key}={value!r}")
         _emit(args, "\n".join(lines))
     else:

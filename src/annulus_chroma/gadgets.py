@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .geometry import DEFAULT_TOLERANCE, Annulus, Point, TWO_PI, unit_chord_angle
 from .radial import thresholds
@@ -63,6 +65,16 @@ class GadgetInfeasible(ValueError):
         self.threshold = threshold
 
 
+def _frozen(value):
+    """The value with its lists, nested ones too, turned into tuples."""
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
+
+
+def _thawed(value):
+    """The value with its tuples, nested ones too, turned into lists, as JSON reads them."""
+    return [_thawed(v) for v in value] if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
 class GadgetEmbedding:
     """Concrete placement of a gadget: vertices, unit edges, boundary clearance.
@@ -72,16 +84,18 @@ class GadgetEmbedding:
     given but follow from the kind, as sorted pairs: those of _SHAPES, or
     for an odd cycle of n vertices (k, k + 1) and (0, n - 1).  The vertices
     are stored as float pairs, their count must be the kind's, and each
-    edge must be 1 long within DEFAULT_TOLERANCE.
+    edge must be 1 long within DEFAULT_TOLERANCE.  params is stored as a
+    read-only copy, its lists as tuples, and is left out of the hash.
     """
 
     kind: str
-    params: dict
+    params: Mapping[str, object] = field(hash=False)
     vertices: tuple[Point, ...]
     edges: tuple[tuple[int, int], ...] = field(init=False)
     margin: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType({k: _frozen(v) for k, v in self.params.items()}))
         vertices = _float_points(self.vertices)
         object.__setattr__(self, "vertices", vertices)
         n = len(vertices)
@@ -100,6 +114,10 @@ class GadgetEmbedding:
             if not abs(d - 1.0) <= DEFAULT_TOLERANCE:  # NaN fails too
                 raise ValueError(f"{self.kind} edge ({i}, {j}) has length {d}, not 1 within {DEFAULT_TOLERANCE}")
         object.__setattr__(self, "edges", shape[1])
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: rebuild from a dict, through the checks above.
+        return type(self), (self.kind, dict(self.params), self.vertices, self.margin)
 
 
 def margin_of(vertices, annulus: Annulus) -> float:
@@ -265,7 +283,7 @@ def gadget_lower_bound(r: float) -> LowerBoundResult:
 def embedding_to_json(embedding: GadgetEmbedding) -> dict:
     return {
         "kind": embedding.kind,
-        "params": dict(embedding.params),
+        "params": {k: _thawed(v) for k, v in embedding.params.items()},
         "vertices": [[x, y] for x, y in embedding.vertices],
         "edges": [list(e) for e in embedding.edges],
         "margin": embedding.margin,

@@ -24,6 +24,7 @@ from annulus_chroma.geometry import (
     AnnularSector,
     DistanceInterval,
     contains_unit_pair,
+    normalize_angle,
     unit_chord_angle,
 )
 from annulus_chroma.radial import RadialColoring, VerificationResult, construct_radial_coloring
@@ -40,6 +41,31 @@ from annulus_chroma.schema import (
 from annulus_chroma.udg import UnitDistanceGraph, build_udg
 
 TWO_PI = 2.0 * math.pi
+
+
+# --------------------------------------------------------------------------
+# Membership: whether a point lies in an annulus or a sector.
+# --------------------------------------------------------------------------
+
+
+def annulus_contains(annulus: Annulus, point: tuple[float, float], tolerance: float = DEFAULT_TOLERANCE) -> bool:
+    """Whether the point lies in the closed annulus widened by the tolerance."""
+    rho = math.hypot(point[0], point[1])
+    return annulus.inner_radius - tolerance <= rho <= annulus.outer_radius + tolerance
+
+
+def sector_contains(sector: AnnularSector, point: tuple[float, float], tolerance: float = DEFAULT_TOLERANCE) -> bool:
+    """Whether the point lies in the sector; the tolerance widens the annulus and closed arc ends only."""
+    if not annulus_contains(sector.annulus, point, tolerance):
+        return False
+    if sector.width >= TWO_PI:
+        return True
+    t = normalize_angle(math.atan2(point[1], point[0]) - sector.start)
+    if sector.start_closed and (t <= tolerance or t >= TWO_PI - tolerance):
+        return True
+    if sector.end_closed and abs(t - sector.width) <= tolerance:
+        return True
+    return 0.0 < t < sector.width
 
 
 def angle_grid(sector: AnnularSector, n_angles: int) -> np.ndarray:
@@ -150,8 +176,8 @@ def random_radial_coloring(
     return RadialColoring(Annulus(r), tuple(angles), sector_colors, boundary_colors)
 
 
-def random_proper_radial_coloring(rng: random.Random, r: float, max_cuts: int = 3) -> RadialColoring:
-    """construct_radial_coloring(r) rotated by a seeded offset, each sector cut by rays of its color.
+def random_proper_radial_coloring(rng: random.Random, r: float, max_cuts: int = 3, min_cuts: int = 0) -> RadialColoring:
+    """construct_radial_coloring(r) rotated by a seeded offset, each sector cut by min_cuts to max_cuts rays of its color.
 
     Every color class keeps the point set it has in the construction, so
     every draw is proper.
@@ -162,7 +188,7 @@ def random_proper_radial_coloring(rng: random.Random, r: float, max_cuts: int = 
     for i in range(base.n):
         start, width, color = base.boundaries[i], base.sector_width(i), base.sector_colors[i]
         rays.append((start, base.boundary_colors[i], color))
-        cuts = sorted(rng.uniform(0.0, width) for _ in range(rng.randint(0, max_cuts)))
+        cuts = sorted(rng.uniform(0.0, width) for _ in range(rng.randint(min_cuts, max_cuts)))
         rays += [(start + t, color, color) for t in cuts if 0.0 < t < width]
     rotated = sorted(((a + offset) % TWO_PI, ray, sector) for a, ray, sector in rays)
     return RadialColoring(

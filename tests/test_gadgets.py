@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from annulus_chroma.gadgets import (
     embed_odd_cycle,
     embed_rod,
     embed_trirod,
+    embedding_to_json,
     gadget_lower_bound,
     margin_of,
     spindle_points,
@@ -24,7 +27,7 @@ from annulus_chroma.gadgets import (
 from annulus_chroma.geometry import Annulus
 from annulus_chroma.radial import thresholds
 from annulus_chroma.udg import build_udg, chromatic_number_exact
-from oracles import reference_odd_cycle
+from oracles import annulus_contains, reference_odd_cycle
 
 # The same 7-vertex graph under an unrelated labeling: rhombus 0-1-3-2 with
 # apex 3, rhombus 0-5-4-6 with apex 4, and the apex-apex edge 3-4.
@@ -345,7 +348,7 @@ class TestLowerBound:
             for length in edge_lengths(emb):
                 assert abs(length - 1.0) <= 1e-9
             for v in emb.vertices:
-                assert annulus.contains(v)
+                assert annulus_contains(annulus, v)
 
 
 def _unit_pair_rs():
@@ -437,3 +440,36 @@ class TestEmbeddingType:
         assert GadgetEmbedding("tri_rod", {}, embed_trirod(0.1).vertices, 0.1).edges == ((0, 1), (0, 2), (1, 2))
         with pytest.raises(TypeError):
             GadgetEmbedding("rod", {}, ((0.0, 0.0), (1.0, 0.0)), ((0, 1),), 0.1)
+
+    def test_hashable_and_equal_by_value(self):
+        assert hash(embed_rod(0.1)) == hash(embed_rod(0.1))
+        assert len({embed_rod(0.1), embed_rod(0.1), embed_moser_spindle(0.45), embed_moser_spindle(0.45)}) == 2
+        vertices = embed_rod(0.1).vertices
+        # params is left out of the hash, not out of equality
+        a, b = GadgetEmbedding("rod", {"r": 0.1}, vertices, 0.1), GadgetEmbedding("rod", {"r": 0.2}, vertices, 0.1)
+        assert hash(a) == hash(b) and a != b
+
+    def test_params_refuse_mutation(self):
+        e = embed_moser_spindle(0.45)
+        with pytest.raises(TypeError):
+            e.params["r"] = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.params = {}
+        assert e.params["r"] == 0.45 and type(e.params["translation"]) is tuple
+        # a read-only copy: the caller's dict and its nested lists stay theirs
+        params = {"r": 0.1, "xs": [1.0, [2.0]]}
+        e = GadgetEmbedding("rod", params, embed_rod(0.1).vertices, 0.1)
+        params["r"] = 9
+        params["xs"][1].append(3.0)
+        assert e.params == {"r": 0.1, "xs": (1.0, (2.0,))}
+        assert embedding_to_json(e)["params"] == {"r": 0.1, "xs": [1.0, [2.0]]}
+
+    def test_pickle_and_copy_round_trip(self):
+        for e in (embed_rod(0.1), embed_odd_cycle(0.05), embed_moser_spindle(0.45)):
+            for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+                assert twin == e and twin.edges == e.edges and type(twin.params) is type(e.params)
+
+    def test_json_params_keep_their_lists(self):
+        d = embedding_to_json(embed_moser_spindle(0.45))
+        assert type(d["params"]) is dict and type(d["params"]["translation"]) is list
+        assert d["params"] == {"r": 0.45, "rotation": 0.0, "translation": [-3.0 / math.sqrt(11.0), 0.0]}

@@ -20,6 +20,7 @@ from annulus_chroma.geometry import (
 )
 from annulus_chroma.radial import RadialColoring, verify_radial_coloring
 from oracles import (
+    annulus_contains,
     pairwise_extremes,
     random_point_in,
     random_sector,
@@ -28,6 +29,7 @@ from oracles import (
     reference_sector_distance_interval,
     reference_verify_radial_coloring,
     sampled_extremes,
+    sector_contains,
 )
 
 
@@ -50,10 +52,10 @@ class TestAnnulus:
 
     def test_contains(self):
         a = Annulus(0.1)
-        assert a.contains((0.5, 0.0))
-        assert a.contains((0.0, -0.4))
-        assert not a.contains((0.39, 0.0))
-        assert not a.contains((0.0, 0.61))
+        assert annulus_contains(a, (0.5, 0.0))
+        assert annulus_contains(a, (0.0, -0.4))
+        assert not annulus_contains(a, (0.39, 0.0))
+        assert not annulus_contains(a, (0.0, 0.61))
 
 
 def on_mid_circle(angle: float) -> tuple[float, float]:
@@ -70,36 +72,36 @@ class TestAnnularSector:
     def test_membership_flags(self):
         s = AnnularSector(self.annulus, 0.0, math.pi / 2.0, start_closed=True, end_closed=False)
         assert math.atan2(NORTH[1], NORTH[0]) == math.pi / 2.0
-        assert s.contains(EAST)
-        assert s.contains(on_mid_circle(math.pi / 4.0))
-        assert not s.contains(NORTH)
-        assert not s.contains(on_mid_circle(-0.1))
+        assert sector_contains(s, EAST)
+        assert sector_contains(s, on_mid_circle(math.pi / 4.0))
+        assert not sector_contains(s, NORTH)
+        assert not sector_contains(s, on_mid_circle(-0.1))
 
     def test_wraparound(self):
         s = AnnularSector(self.annulus, 6.0, 1.0)
-        assert s.contains(on_mid_circle(6.2))
-        assert s.contains(on_mid_circle(0.2))  # 6.0 + 1.0 passes 2*pi
-        assert not s.contains(on_mid_circle(1.5))
+        assert sector_contains(s, on_mid_circle(6.2))
+        assert sector_contains(s, on_mid_circle(0.2))  # 6.0 + 1.0 passes 2*pi
+        assert not sector_contains(s, on_mid_circle(1.5))
 
     def test_tolerance_widens_closed_ends_only(self):
         tol = 1e-6
         open_sector = AnnularSector(self.annulus, 0.0, math.pi / 2.0, start_closed=False, end_closed=False)
-        assert not open_sector.contains(EAST, tol) and not open_sector.contains(NORTH, tol)
-        assert open_sector.contains(on_mid_circle(tol / 2.0), tol)
-        assert open_sector.contains(on_mid_circle(math.pi / 2.0 - tol / 2.0), tol)
-        assert not open_sector.contains(on_mid_circle(-tol / 2.0), tol)
-        assert not open_sector.contains(on_mid_circle(math.pi / 2.0 + tol / 2.0), tol)
+        assert not sector_contains(open_sector, EAST, tol) and not sector_contains(open_sector, NORTH, tol)
+        assert sector_contains(open_sector, on_mid_circle(tol / 2.0), tol)
+        assert sector_contains(open_sector, on_mid_circle(math.pi / 2.0 - tol / 2.0), tol)
+        assert not sector_contains(open_sector, on_mid_circle(-tol / 2.0), tol)
+        assert not sector_contains(open_sector, on_mid_circle(math.pi / 2.0 + tol / 2.0), tol)
         closed_sector = AnnularSector(self.annulus, 0.0, math.pi / 2.0)
-        assert closed_sector.contains(on_mid_circle(-tol / 2.0), tol)
-        assert closed_sector.contains(on_mid_circle(math.pi / 2.0 + tol / 2.0), tol)
+        assert sector_contains(closed_sector, on_mid_circle(-tol / 2.0), tol)
+        assert sector_contains(closed_sector, on_mid_circle(math.pi / 2.0 + tol / 2.0), tol)
 
     def test_full_circle_ignores_flags(self):
         s = AnnularSector(self.annulus, 0.3, TWO_PI, start_closed=False, end_closed=False)
         for q in (0.0, 0.3, 3.0, 6.2):
-            assert s.contains(on_mid_circle(q))
+            assert sector_contains(s, on_mid_circle(q))
 
     def test_zero_width_must_be_closed(self):
-        assert AnnularSector(self.annulus, 1.0, 0.0).contains(on_mid_circle(1.0))
+        assert sector_contains(AnnularSector(self.annulus, 1.0, 0.0), on_mid_circle(1.0))
         with pytest.raises(ValueError):
             AnnularSector(self.annulus, 1.0, 0.0, start_closed=False)
 
@@ -117,9 +119,9 @@ class TestAnnularSector:
     def test_membership_mod_two_pi(self, start, width, f):
         s = AnnularSector(self.annulus, start, width, False, False)
         q = start + f * width
-        assert s.contains(on_mid_circle(q))
-        assert s.contains(on_mid_circle(q + TWO_PI))
-        assert s.contains(on_mid_circle(q - TWO_PI))
+        assert sector_contains(s, on_mid_circle(q))
+        assert sector_contains(s, on_mid_circle(q + TWO_PI))
+        assert sector_contains(s, on_mid_circle(q - TWO_PI))
 
     def test_normalize_angle(self):
         assert normalize_angle(TWO_PI) == 0.0
@@ -326,7 +328,7 @@ class TestContainsUnitPair:
         assert found
         p, q = witness
         assert abs(math.dist(p, q) - 1.0) <= 1e-9
-        assert s1.contains(p) and s2.contains(q)
+        assert sector_contains(s1, p) and sector_contains(s2, q)
 
     @pytest.mark.parametrize("r", [1e-17, 2.0 ** -54, 5e-324])
     def test_antipodal_segments_where_the_outer_radius_rounds_to_half(self, r):
@@ -339,7 +341,7 @@ class TestContainsUnitPair:
         assert found
         p, q = witness
         assert math.dist(p, q) == 1.0
-        assert s1.contains(p) and s2.contains(q)
+        assert sector_contains(s1, p) and sector_contains(s2, q)
 
     def test_perpendicular_segments_false(self):
         a = Annulus(0.1)
@@ -377,7 +379,7 @@ class TestContainsUnitPair:
         assert found
         p, q = witness
         assert abs(math.dist(p, q) - 1.0) <= 1e-9
-        assert s1.contains(p) and s2.contains(q)
+        assert sector_contains(s1, p) and sector_contains(s2, q)
 
     def test_witnesses_on_random_pairs(self):
         rng = random.Random(2024)
@@ -393,8 +395,8 @@ class TestContainsUnitPair:
             positives += 1
             p, q = witness
             assert abs(math.dist(p, q) - 1.0) <= 1e-12
-            assert s1.contains(p)
-            assert s2.contains(q)
+            assert sector_contains(s1, p)
+            assert sector_contains(s2, q)
             # closed form: both points on one circle of radius in [1/2, 1/2 + r]
             rho_p, rho_q = math.hypot(*p), math.hypot(*q)
             assert abs(rho_p - rho_q) <= 1e-12
@@ -410,7 +412,7 @@ class TestContainsUnitPair:
         assert found
         assert abs(math.dist(p, q) - 1.0) <= 1e-12
         assert math.hypot(*p) == math.hypot(*q) == a.outer_radius
-        assert s.contains(p) and s.contains(q)
+        assert sector_contains(s, p) and sector_contains(s, q)
 
     def test_tolerance_window_witness(self):
         # Two rays whose outer corners are 1 - 5e-4 apart: improper at tol = 1e-3.
@@ -423,7 +425,7 @@ class TestContainsUnitPair:
         found, (p, q) = contains_unit_pair(s1, s2, tol)
         assert found
         assert abs(math.dist(p, q) - 1.0) <= tol
-        assert s1.contains(p, 1e-12) and s2.contains(q, 1e-12)
+        assert sector_contains(s1, p, 1e-12) and sector_contains(s2, q, 1e-12)
 
     def test_tolerance_window_witness_avoids_open_end(self):
         # Every distance lies within tol of 1, but the largest is reached only
@@ -436,7 +438,7 @@ class TestContainsUnitPair:
         found, (p, q) = contains_unit_pair(ray, s, tol)
         assert found
         assert abs(math.dist(p, q) - 1.0) <= tol
-        assert ray.contains(p, 1e-12) and s.contains(q, 1e-12)
+        assert sector_contains(ray, p, 1e-12) and sector_contains(s, q, 1e-12)
 
     def test_witnesses_inside_open_sectors_narrower_than_the_tolerance(self):
         rng = random.Random(41)
@@ -450,7 +452,7 @@ class TestContainsUnitPair:
             )
             found, (p, q) = contains_unit_pair(s1, s2, tol)
             assert found
-            assert s1.contains(p, tol) and s2.contains(q, tol)
+            assert sector_contains(s1, p, tol) and sector_contains(s2, q, tol)
 
     def test_witness_at_the_attained_end(self):
         # Two copies of one arc a hair narrower than theta, one closed and one
@@ -461,7 +463,7 @@ class TestContainsUnitPair:
         half_open = AnnularSector(annulus, 4.854952505789755, 1.9107053407777448, False, True)
         found, (p, q) = contains_unit_pair(closed, half_open, tol)
         assert found
-        assert closed.contains(p, tol) and half_open.contains(q, tol)
+        assert sector_contains(closed, p, tol) and sector_contains(half_open, q, tol)
 
     def test_witnesses_inside_half_open_copies_of_one_arc(self):
         rng = random.Random(43)
@@ -476,7 +478,7 @@ class TestContainsUnitPair:
             found, witness = contains_unit_pair(s1, s2, tol)
             if found:
                 positives += 1
-                assert s1.contains(witness[0], tol) and s2.contains(witness[1], tol)
+                assert sector_contains(s1, witness[0], tol) and sector_contains(s2, witness[1], tol)
         assert positives > 1000
 
     def test_verdict_consistent_with_interval(self):
@@ -523,6 +525,73 @@ class TestMissFromTheMaximum:
             else:
                 assert sorted(targets) == [0.0, math.pi], (s1, s2, tolerance)
         assert misses > 100
+
+
+class TestPairPrologue:
+    # contains_unit_pair and sector_distance_interval open with the same
+    # three checks: the tolerance, then the annuli (the same object first),
+    # then the operand order (the starts first, whole keys on a tie).
+
+    def test_equal_annuli_give_the_results_of_one_shared_annulus(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            s1, s2, tol = random_sector_pair(rng)
+            assert s1.annulus is s2.annulus
+            twin = AnnularSector(Annulus(s2.annulus.r), s2.start, s2.width, s2.start_closed, s2.end_closed)
+            assert twin.annulus is not s1.annulus and twin.start == s2.start
+            for analyse in (contains_unit_pair, sector_distance_interval):
+                shared = _bits(analyse(s1, s2, tol))
+                assert _bits(analyse(s1, twin, tol)) == shared, (s1, s2, tol)
+                assert _bits(analyse(twin, s1, tol)) == _bits(analyse(s2, s1, tol)), (s1, s2, tol)
+
+    def test_different_annuli_refused(self):
+        for r2 in (0.3, math.nextafter(0.2, 1.0)):
+            s1 = AnnularSector(Annulus(0.2), 0.0, 1.0)
+            s2 = AnnularSector(Annulus(r2), 0.0, 1.0)
+            for analyse in (contains_unit_pair, sector_distance_interval):
+                for a, b in ((s1, s2), (s2, s1)):
+                    with pytest.raises(ValueError, match="sectors belong to different annuli"):
+                        analyse(a, b)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0])
+    def test_absurd_tolerance_refused_before_the_annuli(self, tolerance):
+        s1 = AnnularSector(Annulus(0.2), 0.0, 1.0)
+        s2 = AnnularSector(Annulus(0.3), 0.0, 1.0)
+        for analyse in (contains_unit_pair, sector_distance_interval):
+            with pytest.raises(ValueError, match=f"^tolerance must be nonnegative, got {tolerance}$"):
+                analyse(s1, s2, tolerance)
+
+    def test_equal_starts_mirrored_in_both_orders(self):
+        # A sector and the ray at its own start, or two sectors from one
+        # start: only the rest of the key settles their order, and either
+        # argument order must give the same analysis, the witness mirrored.
+        rng = random.Random(29)
+        found = 0
+        for k in range(3000):
+            annulus = Annulus(10.0 ** rng.uniform(-9.0, math.log10(0.499)))
+            theta = unit_chord_angle(annulus.outer_radius)
+            tol = 10.0 ** rng.uniform(-12.0, -3.0)
+            start = rng.choice((0.0, math.pi, rng.uniform(0.0, TWO_PI)))
+
+            def piece():
+                if rng.random() < 0.4:
+                    return AnnularSector(annulus, start, 0.0)
+                width = rng.choice((theta, math.pi, TWO_PI, rng.uniform(0.0, TWO_PI))) + tol * rng.uniform(-2.0, 2.0)
+                width = min(max(width, 1e-15), TWO_PI)
+                return AnnularSector(annulus, start, width, rng.random() < 0.5, rng.random() < 0.5)
+
+            s1, s2 = piece(), piece()
+            assert s1.start == s2.start
+            assert _bits(sector_distance_interval(s1, s2, tol)) == _bits(sector_distance_interval(s2, s1, tol))
+            verdict12, witness12 = contains_unit_pair(s1, s2, tol)
+            verdict21, witness21 = contains_unit_pair(s2, s1, tol)
+            assert verdict12 == verdict21, (s1, s2, tol)
+            if verdict12:
+                found += 1
+                if s1 != s2:  # equal sectors: both orders are one call
+                    assert _bits(witness12) == _bits(witness21[::-1]), (s1, s2, tol)
+            assert _bits((verdict12, witness12)) == _bits(reference_contains_unit_pair(s1, s2, tol)), (s1, s2, tol)
+        assert 300 < found < 2700
 
 
 class TestReferencePairAnalysis:
@@ -608,7 +677,7 @@ class TestGapTies:
                 if tolerance or _bits(got) == _bits(ref):
                     assert _bits((found, witness)) == _bits(reference_contains_unit_pair(a, b, tolerance)), (a, b)
                 if found and tolerance:
-                    assert a.contains(witness[0], tolerance) and b.contains(witness[1], tolerance)
+                    assert sector_contains(a, witness[0], tolerance) and sector_contains(b, witness[1], tolerance)
                     assert abs(math.dist(*witness) - 1.0) <= tolerance
         assert verdicts[True] > 100 and verdicts[False] > 100
 

@@ -28,6 +28,7 @@ from oracles import (
     random_radial_coloring,
     reference_coloring_from_json,
     reference_verify_radial_coloring,
+    sector_contains,
 )
 
 
@@ -306,8 +307,30 @@ class TestVerify:
             region1, color1 = _piece(c, verdict.piece_labels[0])
             region2, color2 = _piece(c, verdict.piece_labels[1])
             assert color1 == color2 == verdict.color
-            assert region1.contains(p)
-            assert region2.contains(q)
+            assert sector_contains(region1, p)
+            assert sector_contains(region2, q)
+
+    def test_same_result_as_the_reference_up_to_130_boundaries(self):
+        # The sizes of the benchmark's proper colourings: the scan examines
+        # every same-coloured piece pair, all on one shared Annulus object.
+        # Random colourings with fewer than N(r) colours stop at a conflict.
+        rng = random.Random(130)
+        sizes, improper = [], 0
+        for idx in range(48):
+            r = rng.uniform(0.005, 0.499)
+            n = radial_chromatic_number(r)
+            tol = (1e-12, 1e-9, 1e-6)[idx % 3]
+            cuts = rng.randint(0, 130 // n - 1)
+            proper = random_proper_radial_coloring(rng, r, max_cuts=cuts, min_cuts=cuts)
+            assert proper.n <= 130
+            sizes.append(proper.n)
+            verdict = verify_radial_coloring(proper, tol)
+            assert verdict.proper and verdict == reference_verify_radial_coloring(proper, tol), (r, proper.n, tol)
+            c = random_radial_coloring(rng, r, n - 1, max_boundaries=130)
+            verdict = verify_radial_coloring(c, tol)
+            assert verdict == reference_verify_radial_coloring(c, tol), (r, c.n, tol)
+            improper += not verdict.proper
+        assert max(sizes) > 120 and improper > 40
 
     def test_same_result_as_the_eager_reference_scan(self):
         # Building pieces as the scan reaches them must not change which
