@@ -136,10 +136,14 @@ def unit_chord_angle(outer_radius: float) -> float:
 #
 # A pair is analysed in plain floats and tuples: contains_unit_pair builds
 # objects only for a witness it returns, and sector_distance_interval only
-# the DistanceInterval it returns.  A miss costs the prologue in
-# _difference_arc (in the common case three comparisons: the tolerance, the
-# annuli by identity, the starts), one _gap_extreme toward pi and one
-# _max_distance.
+# the DistanceInterval it returns.  contains_unit_pair decides a miss in one
+# pass in its own frame, with no helper call: _difference_arc's prologue (in
+# the common case three comparisons: the tolerance, the annuli by identity,
+# the starts) and lo, hi; then, when pi lies off [lo, hi] by more than the
+# tolerance, g_max at the end of lesser cosine and d_max, in the operations
+# of _gap_extreme and _max_distance, so verdicts and witnesses are theirs to
+# the last bit.  A pair that pass does not rule out goes on to both
+# _gap_extreme calls.
 # --------------------------------------------------------------------------
 
 
@@ -320,13 +324,52 @@ def contains_unit_pair(
     The witness is closed-form: both points on the circle of radius
     1/(2*sin(delta/2)), delta their angular distance.
     """
-    lo, hi, lo_ok, hi_ok, swapped = _difference_arc(s1, s2, tolerance)
-    r = s1.annulus.r
+    # _difference_arc's prologue and lo, hi, in its float operations.
+    if not 0.0 <= tolerance <= math.inf:
+        _check_tolerance(tolerance, False)
+    annulus = s1.annulus
+    if annulus is not s2.annulus and annulus != s2.annulus:
+        raise ValueError("sectors belong to different annuli")
+    start1 = s1.start
+    start2 = s2.start
+    swapped = start2 < start1 or (start2 == start1 and _sector_key(s2) < _sector_key(s1))
+    c1, c2 = (s2, s1) if swapped else (s1, s2)
+    lo = c1.start - (c2.start + c2.width)
+    hi = (c1.start + c1.width) - c2.start
+    r = annulus.r
+
+    # The one-pass miss: pi lies off [lo, hi] by more than the tolerance
+    # (which implies _gap_extreme's two span checks fail), exactly where
+    # _gap_extreme(..., pi, ...) reaches its unreachable branch, so g_max is
+    # the end of lesser cosine (the farther one in a 1e-12 tie) and d_max is
+    # _max_distance's, both in the same operations.
+    u = (math.pi - lo) % TWO_PI
+    if tolerance < u < TWO_PI - tolerance and u - (hi - lo) > tolerance:
+        v_lo = math.cos(abs(lo))
+        v_hi = math.cos(abs(hi))
+        if abs(v_lo - v_hi) <= 1e-12:
+            gap = max(abs(math.remainder(lo, TWO_PI)), abs(math.remainder(hi, TWO_PI)))
+        elif v_lo > v_hi:
+            gap = abs(math.remainder(hi, TWO_PI))
+        else:
+            gap = abs(math.remainder(lo, TWO_PI))
+        a = 0.5 - r
+        b = 0.5 + r
+        s = math.sin(0.5 * gap)
+        # 1 > max(x, y) + tol exactly when 1 > x + tol and 1 > y + tol.
+        if 1.0 > 2.0 * b * s + tolerance and 1.0 > math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s) + tolerance:
+            return False, None
+
+    if c1.width >= TWO_PI or c2.width >= TWO_PI:
+        lo_ok = hi_ok = True
+    else:
+        lo_ok = c1.start_closed and c2.end_closed
+        hi_ok = c1.end_closed and c2.start_closed
+    # No miss gets here: a pair off the one-pass test has g_max = pi, so
+    # d_max >= 2*b*sin(pi/2) >= 1; and 1.0 < d_min - tolerance never holds,
+    # as d_min = 2*a*sin(g_min/2) <= 2*a <= 1.
     gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
     d_max = _max_distance(r, gap_max[0])
-    if 1.0 > d_max + tolerance:
-        return False, None
-    # 1.0 < d_min - tolerance never holds: d_min = 2*a*sin(g_min/2) <= 2*a <= 1.
     gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
     d_min = _min_distance(r, gap_min[0])
     interior = d_min + tolerance < 1.0 < d_max - tolerance

@@ -497,18 +497,27 @@ class TestContainsUnitPair:
 
 class TestMissFromTheMaximum:
     # d_min = 2*a*sin(g_min/2) <= 2*a <= 1 for every r, so the minimum never
-    # rules a pair out and contains_unit_pair decides a miss from g_max alone.
+    # rules a pair out and contains_unit_pair decides a miss from g_max alone:
+    # a miss computes no minimum (no _gap_extreme toward 0) and no witness,
+    # while a pair that survives computes both extremes.
     # The reference is no oracle below r = 1e-9, so none is used here.
     @pytest.mark.parametrize("r", [5e-324, 2.0 ** -60, 2.0 ** -54, 1e-17, 1e-9, None])
     def test_min_never_exceeds_one_and_the_max_alone_decides_a_miss(self, r, monkeypatch):
         targets = []
+        witnesses = []
         gap_extreme = geometry._gap_extreme
+        unit_chord_witness = geometry._unit_chord_witness
 
         def recorded(lo, hi, lo_ok, hi_ok, target, tolerance):
             targets.append(target)
             return gap_extreme(lo, hi, lo_ok, hi_ok, target, tolerance)
 
+        def recorded_witness(*args):
+            witnesses.append(args)
+            return unit_chord_witness(*args)
+
         monkeypatch.setattr(geometry, "_gap_extreme", recorded)
+        monkeypatch.setattr(geometry, "_unit_chord_witness", recorded_witness)
         rng = random.Random(19)
         misses = 0
         for k in range(2000):
@@ -517,14 +526,97 @@ class TestMissFromTheMaximum:
             di = sector_distance_interval(s1, s2, tolerance)
             assert di.min <= 1.0, (s1, s2, tolerance)
             targets.clear()
+            witnesses.clear()
             verdict = contains_unit_pair(s1, s2, tolerance)
             if di.max + tolerance < 1.0:
                 misses += 1
                 assert verdict == (False, None), (s1, s2, tolerance)
-                assert targets == [math.pi], (s1, s2, tolerance)
+                assert 0.0 not in targets and not witnesses, (s1, s2, tolerance)
             else:
                 assert sorted(targets) == [0.0, math.pi], (s1, s2, tolerance)
         assert misses > 100
+
+
+def _ray_pair_max(annulus: Annulus, gap: float, tolerance: float) -> float:
+    """The reference d_max of the rays at 0 and ``gap``."""
+    return reference_sector_distance_interval(AnnularSector(annulus, 0.0, 0.0), AnnularSector(annulus, gap, 0.0), tolerance).max
+
+
+def _edge_gap(annulus: Annulus, tolerance: float) -> float:
+    """Least circular gap in [0, pi] whose reference d_max reaches 1 - tolerance, by bisection."""
+    lo, hi = 0.0, math.pi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _ray_pair_max(annulus, mid, tolerance) + tolerance >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _one_pass_edge_pieces(annulus: Annulus, tolerance: float):
+    """(label, piece): pieces that put the ray at 0 and the piece at each edge of the one-pass miss test.
+
+    Against the ray at 0 the difference arc is minus the piece's arc, so its
+    ends' circular distances are the piece's directions folded to [0, pi].
+    """
+    # Ends whose cosines tie within 1e-12 on either side of the d_max edge,
+    # the farther at direction 2*pi - far.  The reference reads a tie at the
+    # arc's hi end, here the farther, so both rules pick the same end.  The
+    # farther end is the attained one, so its delta is the witness's.
+    edge = _edge_gap(annulus, tolerance)
+    far = edge + min(2.5e-13 / math.sin(edge), 0.5 * (math.pi - tolerance - edge))
+    near = math.acos(math.cos(far) + 5e-13)
+    yield "decided tie", AnnularSector(annulus, TWO_PI - far, far - near, True, False)
+    # Ties that decide nothing: both ends near 0, or both near pi - 2e-3.
+    yield "tie near 0", AnnularSector(annulus, TWO_PI - 1e-6, 1e-6 - 1e-7)
+    yield "tie near pi", AnnularSector(annulus, math.pi + 2e-3 + tolerance, 2.5e-10)
+    # pi at an end of the arc, within the tolerance of one, or 1 ulp past.
+    for step in sorted({0.0, 0.5 * tolerance, tolerance, 2.0 * tolerance}):
+        for flags in itertools.product((True, False), repeat=2):
+            for end in (math.pi - step, math.pi + step):
+                for at in (math.nextafter(end, 0.0), end, math.nextafter(end, 4.0)):
+                    yield f"pi at {at - math.pi:+.3g}", AnnularSector(annulus, at, 0.5, *flags)
+                    yield f"pi at {at - math.pi:+.3g}", AnnularSector(annulus, at - 0.5, 0.5, *flags)
+    # A width within the tolerance of 2*pi, its gap before, around or after pi.
+    for step in sorted({0.5 * tolerance, tolerance, 2.0 * tolerance, 3.0 * tolerance}):
+        for width in (TWO_PI - step, math.nextafter(TWO_PI - step, 0.0)):
+            for shift in (0.0, 0.5, 1.0):
+                for flags in itertools.product((True, False), repeat=2):
+                    if width < TWO_PI:
+                        yield "span near 2*pi", AnnularSector(annulus, math.pi + shift * (TWO_PI - width), width, *flags)
+
+
+class TestOnePassMissEdges:
+    # contains_unit_pair decides a miss in one pass when pi lies off the
+    # difference arc by more than the tolerance, with g_max the end of lesser
+    # cosine (the farther one in a 1e-12 tie).  Each edge of that test,
+    # against the reference, to the last bit, in both argument orders.
+    @pytest.mark.parametrize("r", [5e-324, 0.49])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-3])
+    def test_same_as_the_reference(self, r, tolerance):
+        annulus = Annulus(r)
+        ray = AnnularSector(annulus, 0.0, 0.0)
+        verdicts = {True: 0, False: 0}
+        for label, piece in _one_pass_edge_pieces(annulus, tolerance):
+            for a, b in ((ray, piece), (piece, ray)):
+                got = contains_unit_pair(a, b, tolerance)
+                assert _bits(got) == _bits(reference_contains_unit_pair(a, b, tolerance)), (label, piece)
+                verdicts[got[0]] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
+    @pytest.mark.parametrize("r", [5e-324, 0.49])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-3])
+    def test_a_decided_tie_is_found_at_the_farther_end(self, r, tolerance):
+        # The nearer end alone would rule the pair out.
+        annulus = Annulus(r)
+        _, piece = next(_one_pass_edge_pieces(annulus, tolerance))
+        near, far = TWO_PI - (piece.start + piece.width), TWO_PI - piece.start
+        assert abs(math.cos(near) - math.cos(far)) <= 1e-12
+        assert far < math.pi - tolerance
+        d_max = [_ray_pair_max(annulus, gap, tolerance) + tolerance for gap in (near, far)]
+        assert d_max[0] < 1.0 <= d_max[1]
+        ray = AnnularSector(annulus, 0.0, 0.0)
+        assert contains_unit_pair(ray, piece, tolerance)[0] and contains_unit_pair(piece, ray, tolerance)[0]
 
 
 class TestPairPrologue:

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulus_chroma import radial
 from annulus_chroma.geometry import Annulus, TWO_PI, unit_chord_angle
 from annulus_chroma.radial import (
     RadialColoring,
@@ -397,6 +399,26 @@ class TestVerify:
             r = rng.uniform(r_min, 0.49)
             c = random_proper_radial_coloring(rng, r)
             assert verify_radial_coloring(c).proper, c
+
+    def test_one_pair_call_per_same_colored_pair(self, monkeypatch):
+        # A proper colouring is scanned to the end: one radial.contains_unit_pair
+        # call per pair of same-coloured pieces, self-pairs included, so
+        # sum m*(m + 1)/2 over the colours' piece counts m.
+        calls = []
+        contains_unit_pair = radial.contains_unit_pair
+
+        def counted(s1, s2, tolerance):
+            calls.append((s1, s2))
+            return contains_unit_pair(s1, s2, tolerance)
+
+        monkeypatch.setattr(radial, "contains_unit_pair", counted)
+        rng = random.Random(4242)
+        for _ in range(40):
+            c = random_proper_radial_coloring(rng, rng.uniform(thresholds()[0].max_r, 0.49), max_cuts=rng.randint(0, 6))
+            calls.clear()
+            assert verify_radial_coloring(c).proper, c
+            pieces = collections.Counter(c.sector_colors + c.boundary_colors)
+            assert len(calls) == sum(m * (m + 1) // 2 for m in pieces.values()), c
 
     def test_three_thin_sectors_two_thirds_of_pi_apart_are_proper(self):
         # three thin color-0 sectors 2*pi/3 apart are pairwise closer than theta
