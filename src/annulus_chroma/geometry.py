@@ -190,14 +190,19 @@ def _gap_extreme(
     # Target unreachable: the extreme is at the arc endpoint of greater
     # (min) or lesser (max) cosine, the two counted equal within 1e-12.
     # In a tie the value is the nearer (min) or farther (max) end's circular
-    # distance, which the cosines cannot tell apart near 0 and pi; the delta
-    # and the attained flag stay those of the tie, which verdicts rest on.
+    # distance, which the cosines cannot tell apart near 0 and pi (lo when
+    # the two are equal), and the delta is that end's when it is attained,
+    # so a pair and its mirror image agree; the attained flag stays the
+    # tie's, set when either end is.
     want_min = target == 0.0
     v_lo = math.cos(abs(lo))
     v_hi = math.cos(abs(hi))
     if abs(v_lo - v_hi) <= 1e-12:
-        ends = (abs(math.remainder(lo, TWO_PI)), abs(math.remainder(hi, TWO_PI)))
-        return min(ends) if want_min else max(ends), lo if lo_ok else hi, lo_ok or hi_ok
+        g_lo = abs(math.remainder(lo, TWO_PI))
+        g_hi = abs(math.remainder(hi, TWO_PI))
+        if (g_hi < g_lo) if want_min else (g_hi > g_lo):
+            return g_hi, hi if hi_ok or not lo_ok else lo, lo_ok or hi_ok
+        return g_lo, lo if lo_ok or not hi_ok else hi, lo_ok or hi_ok
     if (v_lo > v_hi) == want_min:
         return abs(math.remainder(lo, TWO_PI)), lo, lo_ok
     return abs(math.remainder(hi, TWO_PI)), hi, hi_ok

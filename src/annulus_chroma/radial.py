@@ -8,7 +8,10 @@ the angular width of a unit chord on the outer circle.  The verifier
 checks every pair of same-colored pieces with contains_unit_pair and
 returns a witness for the first conflict.  It builds a piece's region only
 when its scan first reaches the piece, and a piece label only for the
-reported pair, so an early conflict costs little on a large coloring.
+reported pair, so an early conflict builds few regions.  It still groups
+all 2n pieces by color before the scan starts, whatever the scan reaches:
+on 10,000-boundary improper colorings that pass takes about 1.5 ms of a
+verdict's 2.4 to 11 ms (2-core x86-64 VM, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -206,9 +209,10 @@ def verify_radial_coloring(
 
     Piece k is sector k for k < n and boundary ray k - n otherwise.  Colors
     are scanned in ascending order and each color's pairs (i, j), i <= j, in
-    index order.  A piece's region is built when the scan first reaches it,
-    so a conflict early in the scan builds few of the 2n regions, and labels
-    are formatted only for the reported pair.
+    index order, after one pass that groups all 2n pieces by color.  A
+    piece's region is built when the scan first reaches it, so a conflict
+    early in the scan builds few of the 2n regions, and labels are
+    formatted only for the reported pair.
     """
     n = coloring.n
     by_color: dict[int, list[int]] = {}

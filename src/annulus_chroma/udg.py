@@ -14,9 +14,12 @@ each color c keeps the int of uncolored vertices with a neighbour of
 color c, and each saturation level s keeps the int of vertices whose
 neighbours carry s distinct colors.  Painting a vertex moves the
 neighbours its color newly reaches up one level, walking down from the
-highest level they can sit in and stopping once all of them have moved,
-and the next vertex is found in the highest level that holds an
-uncolored one.
+highest level they can sit in and stopping once all of them have moved.
+The next vertex is the highest-degree, then lowest-index uncolored vertex
+of the highest level that holds one.  The vertices of each degree are one
+int too, built once per search and kept highest degree first, so the
+choice is the lowest bit of the first of them that meets that level: one
+AND per distinct degree, not one step per member of the level.
 
 UnitDistanceGraph holds no points.  It checks edge lists, in one loop
 that reads self-loops and duplicates off the bitsets it builds;
@@ -213,13 +216,16 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
     distinct colors; a colored vertex stays in the level it had, so only
     level[s] & free counts.  The next vertex is the highest-degree, then
     lowest-index member of the highest level that meets free, and when that
-    level is k the vertex has no color left.  Painting v with c adds v's
-    uncolored neighbours not yet in near[c] to near[c] and moves them up
-    one level: a walk down the levels from the highest they can sit in,
-    which stops once all of them have moved, at the lowest level that holds
-    one of them.  Unpainting moves that same set back down the same way.
-    Vertices are unpainted in reverse order, so the bits of an uncolored
-    vertex are never stale.
+    level is k the vertex has no color left.  groups holds the bitset of
+    each degree's vertices, highest degree first, so the vertex is the
+    lowest bit of the first group that meets that level.  Painting v with c
+    adds v's uncolored neighbours not yet in near[c] to near[c] and moves
+    them up one level: a walk down the levels from the highest they can sit
+    in, which stops once all of them have moved, at the lowest level that
+    holds one of them.  Unpainting puts back the near[c] read before the
+    paint and moves that same set back down the same way.  Vertices are
+    unpainted in reverse order, so the bits of an uncolored vertex are
+    never stale.
     """
     n = len(masks)
     colors = [-1] * n
@@ -236,7 +242,11 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
     for u in range(n):
         if free >> u & 1:
             level[(masks[u] & seed_set).bit_count()] |= 1 << u
-    degree = [m.bit_count() for m in masks]
+    by_degree: dict[int, int] = {}
+    for u, m in enumerate(masks):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << u
+    groups = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
     def extend(free: int, max_used: int) -> bool:
         if not free:
@@ -248,22 +258,21 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
         if s == k:
             return False
         choice = level[s] & free
-        best = -1
-        while choice:
-            low = choice & -choice
-            u = low.bit_length() - 1
-            if degree[u] > best:
-                best = degree[u]
-                v, bit = u, low
-            choice ^= low
+        for group in groups:
+            if pick := group & choice:
+                break
+        bit = pick & -pick
+        v = bit.bit_length() - 1
         free ^= bit
         neighbours = masks[v] & free
-        for c in range(min(max_used + 1, k - 1) + 1):
-            if near[c] & bit:
+        # A new color only in order, and at most k of them.
+        for c in range(max_used + 2 if max_used < k - 1 else k):
+            near_c = near[c]
+            if near_c & bit:
                 continue
             colors[v] = c
-            new = neighbours & ~near[c]
-            near[c] |= new
+            new = neighbours & ~near_c
+            near[c] = near_c | new
             # A vertex of new is uncolored, so it sits in one level; it sees
             # at most the colors in use, and not c: it moves up from a level
             # <= used, and back down from one <= used + 1.  Each walk goes
@@ -279,7 +288,7 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
                 s -= 1
             if extend(free, used):
                 return True
-            near[c] ^= new
+            near[c] = near_c
             rest = new
             s = used + 1
             while rest:

@@ -553,6 +553,17 @@ def _edge_gap(annulus: Annulus, tolerance: float) -> float:
     return hi
 
 
+def _decided_tie(annulus: Annulus, tolerance: float) -> tuple[float, float]:
+    """(near, far): gaps whose cosines tie within 1e-12, far about 3e-13 past the d_max edge.
+
+    The ray at 0 and a piece from one to the other hold a unit pair at the
+    farther end alone.
+    """
+    edge = _edge_gap(annulus, tolerance)
+    far = edge + min(2.5e-13 / math.sin(edge), 0.5 * (math.pi - tolerance - edge))
+    return math.acos(math.cos(far) + 5e-13), far
+
+
 def _one_pass_edge_pieces(annulus: Annulus, tolerance: float):
     """(label, piece): pieces that put the ray at 0 and the piece at each edge of the one-pass miss test.
 
@@ -563,9 +574,7 @@ def _one_pass_edge_pieces(annulus: Annulus, tolerance: float):
     # the farther at direction 2*pi - far.  The reference reads a tie at the
     # arc's hi end, here the farther, so both rules pick the same end.  The
     # farther end is the attained one, so its delta is the witness's.
-    edge = _edge_gap(annulus, tolerance)
-    far = edge + min(2.5e-13 / math.sin(edge), 0.5 * (math.pi - tolerance - edge))
-    near = math.acos(math.cos(far) + 5e-13)
+    near, far = _decided_tie(annulus, tolerance)
     yield "decided tie", AnnularSector(annulus, TWO_PI - far, far - near, True, False)
     # Ties that decide nothing: both ends near 0, or both near pi - 2e-3.
     yield "tie near 0", AnnularSector(annulus, TWO_PI - 1e-6, 1e-6 - 1e-7)
@@ -590,7 +599,11 @@ class TestOnePassMissEdges:
     # contains_unit_pair decides a miss in one pass when pi lies off the
     # difference arc by more than the tolerance, with g_max the end of lesser
     # cosine (the farther one in a 1e-12 tie).  Each edge of that test,
-    # against the reference, to the last bit, in both argument orders.
+    # against the reference, to the last bit, in both argument orders.  The
+    # exception is a pair whose arc ends tie within 1e-12 in cosine: the
+    # library builds a tie's witness at the farther end when it is attained,
+    # the reference at the arc's hi end, so there the verdicts agree and a
+    # witness that differs must hold.
     @pytest.mark.parametrize("r", [5e-324, 0.49])
     @pytest.mark.parametrize("tolerance", [0.0, 1e-3])
     def test_same_as_the_reference(self, r, tolerance):
@@ -600,7 +613,14 @@ class TestOnePassMissEdges:
         for label, piece in _one_pass_edge_pieces(annulus, tolerance):
             for a, b in ((ray, piece), (piece, ray)):
                 got = contains_unit_pair(a, b, tolerance)
-                assert _bits(got) == _bits(reference_contains_unit_pair(a, b, tolerance)), (label, piece)
+                ref = reference_contains_unit_pair(a, b, tolerance)
+                if abs(math.cos(piece.start) - math.cos(piece.start + piece.width)) > 1e-12:
+                    assert _bits(got) == _bits(ref), (label, piece)
+                else:
+                    assert got[0] == ref[0], (label, piece)
+                    if _bits(got) != _bits(ref):
+                        assert abs(math.dist(*got[1]) - 1.0) <= tolerance, (label, piece)
+                        assert sector_contains(a, got[1][0], tolerance) and sector_contains(b, got[1][1], tolerance)
                 verdicts[got[0]] += 1
         assert verdicts[True] and verdicts[False], verdicts
 
@@ -617,6 +637,27 @@ class TestOnePassMissEdges:
         assert d_max[0] < 1.0 <= d_max[1]
         ray = AnnularSector(annulus, 0.0, 0.0)
         assert contains_unit_pair(ray, piece, tolerance)[0] and contains_unit_pair(piece, ray, tolerance)[0]
+
+    @pytest.mark.parametrize("r", [5e-324, 0.49])
+    def test_a_tie_and_its_mirror_image_agree(self, r):
+        # The piece [near, far] and its mirror image [-far, -near] against
+        # the ray at 0, with every pair of end flags (swapped by the mirror).
+        # A tie is found exactly when the farther end is attained, with a
+        # witness there.  The reference reads every tie at the arc's hi end,
+        # so each pair is judged against its mirror, not the reference.
+        tolerance = 1e-3
+        annulus = Annulus(r)
+        near, far = _decided_tie(annulus, tolerance)
+        ray = AnnularSector(annulus, 0.0, 0.0)
+        for start_closed, end_closed in itertools.product((True, False), repeat=2):
+            piece = AnnularSector(annulus, near, far - near, start_closed, end_closed)
+            mirror = AnnularSector(annulus, TWO_PI - far, far - near, end_closed, start_closed)
+            for a, b in ((ray, piece), (piece, ray), (ray, mirror), (mirror, ray)):
+                found, witness = contains_unit_pair(a, b, tolerance)
+                assert found == end_closed, (a, b)
+                if found:
+                    assert abs(math.dist(*witness) - 1.0) <= tolerance, (a, b)
+                    assert sector_contains(a, witness[0], tolerance) and sector_contains(b, witness[1], tolerance), (a, b)
 
 
 class TestPairPrologue:

@@ -378,12 +378,41 @@ class TestReferenceIdentity:
         assert _same_as_reference(graph)
         assert chromatic_number_exact(graph)[0] == 7
 
+    def test_minkowski_sum_graphs(self):
+        # Graphs like the certificate search's: points of _minkowski_points()
+        # inside seeded annuli, 150 to 250 vertices, chi 3 or 4.
+        points = _minkowski_points()
+        rng = random.Random(2015)
+        chis = []
+        for r in (0.28, 0.29, 0.3, 0.32) * 2:
+            while True:
+                centre = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                inside = [p for p in points if abs(math.dist(p, centre) - 0.5) <= r]
+                if 150 <= len(inside) <= 250:
+                    break
+            graph = build_udg(inside)
+            assert _same_as_reference(graph), f"r={r}, centre={centre}"
+            chis.append(chromatic_number_exact(graph)[0])
+        assert set(chis) == {3, 4}, chis
+
     def test_tie_on_saturation_and_degree_goes_to_the_lower_index(self):
         # After the hub 0, vertices 1 to 4 all see one color; 2 and 4 lead
         # on degree and tie, so 2 is colored next and 4 takes a third color.
         graph = UnitDistanceGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
         assert greedy_coloring(graph) == (0, 1, 1, 1, 2)
         assert _same_as_reference(graph)
+
+
+def _minkowski_points() -> list[tuple[float, float]]:
+    """Sums of up to 3 of 24 unit vectors: the 6 hexagonal ones, each turned by 0, +a, -a and a/2, cos a = 5/6."""
+    a = math.acos(5.0 / 6.0)
+    units = [(math.cos(k * math.pi / 3.0 + t), math.sin(k * math.pi / 3.0 + t)) for k in range(6) for t in (0.0, a, -a, 0.5 * a)]
+    points = {}
+    for m in range(4):
+        for combo in itertools.combinations_with_replacement(units, m):
+            x, y = sum(u[0] for u in combo), sum(u[1] for u in combo)
+            points.setdefault((round(x, 9), round(y, 9)), (x, y))
+    return sorted(points.values())
 
 
 def _gnp(rng: random.Random, n: int, p: float) -> UnitDistanceGraph:
