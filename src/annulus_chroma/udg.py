@@ -17,9 +17,11 @@ neighbours its color newly reaches up one level, walking down from the
 highest level they can sit in and stopping once all of them have moved.
 The next vertex is the highest-degree, then lowest-index uncolored vertex
 of the highest level that holds one.  The vertices of each degree are one
-int too, built once per search and kept highest degree first, so the
-choice is the lowest bit of the first of them that meets that level: one
-AND per distinct degree, not one step per member of the level.
+int too, kept highest degree first, so the choice is the lowest bit of
+the first of them that meets that level: one AND per distinct degree, not
+one step per member of the level.  These degree groups are built once per
+solve and shared by the greedy clique, the greedy descent and every k
+level.
 
 UnitDistanceGraph holds no points.  It checks edge lists, in one loop
 that reads self-loops and duplicates off the bitsets it builds;
@@ -181,14 +183,7 @@ def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
 
 def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
     """Maximal clique grown greedily by descending degree, then ascending index; a chromatic lower bound."""
-    masks = graph.masks
-    clique: list[int] = []
-    member = 0
-    for v in sorted(range(graph.n), key=lambda v: (-masks[v].bit_count(), v)):
-        if masks[v] & member == member:
-            clique.append(v)
-            member |= 1 << v
-    return clique
+    return _greedy_clique(graph.masks, _degree_groups(graph.masks))
 
 
 def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
@@ -198,10 +193,33 @@ def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
     vertex: past about 990 vertices it exceeds Python's default recursion
     limit.
     """
-    return tuple(_color_with_limit(graph.masks, graph.n, []))
+    return tuple(_color_with_limit(graph.masks, graph.n, [], _degree_groups(graph.masks)))
 
 
-def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[int] | None:
+def _degree_groups(masks: tuple[int, ...]) -> list[int]:
+    """The bitset of each degree's vertices, highest degree first."""
+    by_degree: dict[int, int] = {}
+    for u, m in enumerate(masks):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << u
+    return [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
+def _greedy_clique(masks: tuple[int, ...], groups: list[int]) -> list[int]:
+    """The vertices in groups order, lowest index first in a group, each kept if it is next to all kept so far."""
+    clique: list[int] = []
+    common = -1  # the vertices next to every member
+    for group in groups:
+        rest = group & common
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            clique.append(v)
+            common &= masks[v]
+            rest &= masks[v]
+    return clique
+
+
+def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int], groups: list[int]) -> list[int] | None:
     """Proper coloring with at most k colors, or None.
 
     Backtracking with saturation-degree vertex selection; the seed clique is
@@ -218,35 +236,38 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int]) -> list[i
     lowest-index member of the highest level that meets free, and when that
     level is k the vertex has no color left.  groups holds the bitset of
     each degree's vertices, highest degree first, so the vertex is the
-    lowest bit of the first group that meets that level.  Painting v with c
-    adds v's uncolored neighbours not yet in near[c] to near[c] and moves
-    them up one level: a walk down the levels from the highest they can sit
-    in, which stops once all of them have moved, at the lowest level that
-    holds one of them.  Unpainting puts back the near[c] read before the
-    paint and moves that same set back down the same way.  Vertices are
-    unpainted in reverse order, so the bits of an uncolored vertex are
-    never stale.
+    lowest bit of the first group that meets that level; the caller builds
+    it once per solve with _degree_groups and passes it to every call.
+    Painting v with c adds v's uncolored neighbours not yet in near[c] to
+    near[c] and moves them up one level: a walk down the levels from the
+    highest they can sit in, which stops once all of them have moved, at
+    the lowest level that holds one of them.  The seed's levels come from
+    the same walk: every uncolored vertex starts in level 0, and each seed
+    vertex in turn moves its uncolored neighbours up one level.  Unpainting
+    puts back the near[c] read before the paint and moves that same set
+    back down the same way.  Vertices are unpainted in reverse order, so
+    the bits of an uncolored vertex are never stale.
     """
     n = len(masks)
     colors = [-1] * n
     near = [0] * k
     free = (1 << n) - 1
+    for v in seed:
+        free ^= 1 << v
+    level = [0] * (k + 1)
+    level[0] = free
+    # The seed is a clique of distinct colors, so seed vertex c's neighbours
+    # sit at level c or below before it moves them.
     for c, v in enumerate(seed):
         colors[v] = c
-        free ^= 1 << v
-        near[c] = masks[v] & free
-    # The seed is a clique of distinct colors: a vertex's level is the
-    # number of seed vertices next to it.
-    seed_set = ((1 << n) - 1) ^ free
-    level = [0] * (k + 1)
-    for u in range(n):
-        if free >> u & 1:
-            level[(masks[u] & seed_set).bit_count()] |= 1 << u
-    by_degree: dict[int, int] = {}
-    for u, m in enumerate(masks):
-        d = m.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << u
-    groups = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+        rest = near[c] = masks[v] & free
+        s = c
+        while rest:
+            moved = level[s] & rest
+            level[s] ^= moved
+            level[s + 1] |= moved
+            rest ^= moved
+            s -= 1
 
     def extend(free: int, max_used: int) -> bool:
         if not free:
@@ -320,11 +341,13 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
     limit.
     """
     _check_solver_size(graph.n)
-    clique = greedy_clique(graph)
-    upper = greedy_coloring(graph)
+    masks = graph.masks
+    groups = _degree_groups(masks)
+    clique = _greedy_clique(masks, groups)
+    upper = tuple(_color_with_limit(masks, graph.n, [], groups))
     upper_k = max(upper) + 1
     for k in range(len(clique), upper_k):
-        witness = _color_with_limit(graph.masks, k, clique)
+        witness = _color_with_limit(masks, k, clique, groups)
         if witness is not None:
             return k, tuple(witness)
     return upper_k, upper

@@ -307,6 +307,12 @@ def _cycle(n: int) -> UnitDistanceGraph:
     return UnitDistanceGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _petersen() -> UnitDistanceGraph:
+    """The outer 5-cycle 0..4, the spokes i, i + 5 and the inner pentagram."""
+    return UnitDistanceGraph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def _disjoint_union(graphs: list[UnitDistanceGraph], rng: random.Random) -> UnitDistanceGraph:
     """The graphs side by side, with all vertices relabelled by one shuffle."""
     perm = list(range(sum(g.n for g in graphs)))
@@ -341,8 +347,14 @@ class TestReferenceIdentity:
             (_cycle(65), 3),
             (_cycle(101), 3),
             (_disjoint_union([mycielski(4, random.Random(seed)) for seed in range(12)], random.Random(12)), 4),
+            # Graphs whose vertices tie on degree, so the clique and every
+            # choice come from one degree group in index order.
+            (_petersen(), 3),
+            (UnitDistanceGraph(9, [(i, j) for i, j in itertools.combinations(range(9), 2) if i // 3 != j // 3]), 3),
+            (UnitDistanceGraph(8, [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)]), 4),
         ],
-        ids=["edgeless", "K1", "K64", "spindle", "relabelled-M4", "relabelled-M5", "C65", "C101", "12-relabelled-M4"],
+        ids=["edgeless", "K1", "K64", "spindle", "relabelled-M4", "relabelled-M5", "C65", "C101", "12-relabelled-M4",
+             "Petersen", "K333", "odd-wheel-W7"],
     )
     def test_fixed_graphs(self, graph, chi):
         assert _same_as_reference(graph)
@@ -401,6 +413,14 @@ class TestReferenceIdentity:
         graph = UnitDistanceGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
         assert greedy_coloring(graph) == (0, 1, 1, 1, 2)
         assert _same_as_reference(graph)
+
+    def test_clique_tie_on_degree_goes_to_the_lower_index(self):
+        # 1 and 3 lead on degree and are not adjacent: 1 enters the clique,
+        # though 3 lies in the triangle 0, 3, 4.  5 then joins 1.
+        graph = UnitDistanceGraph(7, [(1, 2), (1, 5), (1, 6), (3, 0), (3, 4), (3, 5), (0, 4)])
+        assert greedy_clique(graph) == [1, 5]
+        assert _same_as_reference(graph)
+        assert chromatic_number_exact(graph)[0] == 3
 
 
 def _minkowski_points() -> list[tuple[float, float]]:
