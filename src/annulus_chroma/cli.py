@@ -1,9 +1,10 @@
 """Command-line interface for annulus colorings, gadgets, and the exact solver.
 
-Exit codes: 0 success, 1 negative verdict (improper coloring, infeasible
-gadget), 2 usage or domain error (including malformed input files), 3
-internal inconsistency (a self-check failed in a way that should be
-impossible).
+Exit codes: 0 success; 1 only for a negative verdict (an improper
+coloring, an infeasible gadget); 2 for a refused input (a usage or domain
+error, an unreadable or malformed file), which never yields a verdict; 3
+for a failed self-check or an unexpected exception.  main alone turns an
+exception into an exit code: the subcommands raise and never catch.
 """
 
 from __future__ import annotations
@@ -75,15 +76,12 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # also bytes that are not UTF-8, and integers past the digit limit
+    except (ValueError, RecursionError) as exc:  # also bytes not UTF-8, integers past the digit limit, deep nesting
         raise SchemaError(f"{path} is not valid JSON: {exc}")
 
 
 def cmd_chi_radial(args) -> int:
-    try:
-        n = radial_chromatic_number(args.r)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    n = radial_chromatic_number(args.r)
     theta = unit_chord_angle(0.5 + args.r)
     band = thresholds()[n - 3]
     if args.format == "json":
@@ -118,11 +116,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        tolerance = _resolve_tolerance(args)
-        coloring = construct_radial_coloring(args.r)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    tolerance = _resolve_tolerance(args)
+    coloring = construct_radial_coloring(args.r)
     verdict = verify_radial_coloring(coloring, tolerance)
     if not verdict.proper:
         return _fail(
@@ -190,16 +185,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        annulus = Annulus(args.r)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        embedding = getattr(gadgets, EMBEDDERS[args.gadget])(args.r)
-    except GadgetInfeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        print(f"threshold={exc.threshold!r}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    annulus = Annulus(args.r)
+    embedding = getattr(gadgets, EMBEDDERS[args.gadget])(args.r)
     if args.format == "svg":
         _emit(args, render_embedding(embedding, annulus))
     elif args.format == "text":
@@ -219,10 +206,7 @@ def cmd_embed(args) -> int:
 
 def cmd_solve(args) -> int:
     n, build = _read_graph_json(_load_json(args.path))
-    try:
-        _check_solver_size(n)  # before building: build_udg is quadratic in the points
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    _check_solver_size(n)  # before building: build_udg is quadratic in the points
     chi, assignment = chromatic_number_exact(build())
     if args.format == "json":
         _emit(args, json.dumps({"chi": chi, "assignment": list(assignment)}, indent=2))
@@ -297,10 +281,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except GadgetInfeasible as exc:  # a ValueError, but a negative verdict
+        print(f"infeasible: {exc}", file=sys.stderr)
+        print(f"threshold={exc.threshold!r}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         return _fail(str(exc), EXIT_USAGE)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    except Exception as exc:
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)  # the traceback, without importing traceback
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -46,6 +46,14 @@ def require_tolerance(value, where: str) -> float:
     return value
 
 
+def require_iterable(values, name: str, items: str):
+    """iter(values), or the ValueError the constructors raise for a list that is no iterable at all."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of {items}, got {values!r}") from None
+
+
 def require_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")

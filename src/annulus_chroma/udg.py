@@ -46,6 +46,7 @@ from .schema import (
     SchemaError,
     require_index_pair,
     require_int,
+    require_iterable,
     require_keys,
     require_list,
     require_point,
@@ -82,10 +83,7 @@ class UnitDistanceGraph:
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        try:
-            iter(edges)
-        except TypeError:
-            raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}") from None
+        edges = require_iterable(edges, "edges", "vertex pairs")
         try:
             masks = [0] * n
         except OverflowError:
@@ -132,11 +130,7 @@ def _float_points(points) -> tuple[Point, ...]:
     only a list it refuses is checked point by point, which names the first
     bad index.
     """
-    try:
-        iter(points)
-    except TypeError:
-        raise ValueError(f"points must be an iterable of (x, y) pairs, got {points!r}") from None
-    pts = tuple(points)
+    pts = tuple(require_iterable(points, "points", "(x, y) pairs"))
     if set(map(type, pts)) <= {list, tuple} and set(map(len, pts)) <= {2}:
         flat = list(itertools.chain.from_iterable(pts))
         if set(map(type, flat)) <= {float, int}:

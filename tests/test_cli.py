@@ -530,42 +530,14 @@ class TestImport:
         assert proc.stdout.strip() == "False"
 
 
-class TestEntry:
-    """cli.entry, the console script's target, turns main's result into the exit status."""
+class TestUnexpectedException:
+    def test_a_crash_exits_internal_with_its_traceback(self, capsys, monkeypatch):
+        def crash(r):
+            raise RuntimeError("deliberate crash")
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["verify", "PROPER"], 0),
-        (["verify", "IMPROPER"], 1),
-        (["construct", "--r", "0.7"], 2),
-    ], ids=["proper", "improper", "bad-r"])
-    def test_exit_status(self, tmp_path, argv, expected):
-        proper, improper = tmp_path / "proper.json", tmp_path / "improper.json"
-        assert main(["construct", "--r", "0.15", "--out", str(proper)]) == 0
-        doc = json.loads(proper.read_text())
-        doc["sector_colors"] = [0] * len(doc["sector_colors"])
-        improper.write_text(json.dumps(doc))
-        argv = [{"PROPER": str(proper), "IMPROPER": str(improper)}.get(a, a) for a in argv]
-        src = Path(annulus_chroma.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        code = f"import sys; from annulus_chroma import cli; sys.argv = {['annulus-chroma', *argv]!r}; cli.entry()"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == expected, proc.stderr
-        if argv[0] == "verify":
-            assert proc.stdout.splitlines()[0] == ("proper" if expected == 0 else "improper")
-        else:
-            assert "error:" in proc.stderr
-
-    def test_verify_where_the_outer_radius_rounds_to_half(self, tmp_path):
-        # 1/2 + r == 1/2: the two rays hold a diameter, the only unit chord.
-        path = tmp_path / "rays.json"
-        path.write_text(json.dumps({"r": 1e-17, "boundaries": [0.0, math.pi],
-                                    "sector_colors": [0, 0], "boundary_colors": [0, 0]}))
-        src = Path(annulus_chroma.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        code = f"import sys; from annulus_chroma import cli; sys.argv = {['annulus-chroma', 'verify', str(path)]!r}; cli.entry()"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "improper"
-        assert lines[-1].startswith("witness=")
+        monkeypatch.setattr(cli, "radial_chromatic_number", crash)
+        code, out, err = run(capsys, "chi-radial", "--r", "0.3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.splitlines()[-1] == "RuntimeError: deliberate crash"

@@ -2,15 +2,17 @@
 
 Every row gives the arguments, the input document, the expected exit code
 (0 proper or solved, 1 a negative verdict, 2 a refused input) and lines
-that must appear on stdout and stderr.  By default a row runs through
-``python -m annulus_chroma.cli`` on this checkout's ``src``; with
-ANNULUS_CHROMA_CLI set (say to ``annulus-chroma``), the table runs that
-command instead, such as an installed console script:
+that must appear on stdout and stderr.  Exit 1 must also come with its
+verdict: ``improper`` on stdout or ``infeasible:`` on stderr.  By default a
+row runs through ``python -m annulus_chroma.cli`` on this checkout's
+``src``; with ANNULUS_CHROMA_CLI set (say to ``annulus-chroma``), the table
+runs that command instead, such as an installed console script:
 
     ANNULUS_CHROMA_CLI=annulus-chroma python -m pytest -q tests/test_cli_cases.py
 """
 
 import json
+import math
 import os
 import re
 import shlex
@@ -35,11 +37,14 @@ class Written:
 
 @dataclass(frozen=True)
 class Case:
-    """One CLI run: each expected line is matched whole, where * stands for any text."""
+    """One CLI run: each expected line is matched whole, where * stands for any text.
+
+    A str document is written as it is, for text json.dumps cannot write.
+    """
 
     id: str
     argv: tuple[str, ...]
-    document: dict | Written | None = None
+    document: dict | str | Written | None = None
     code: int = 0
     stdout: tuple[str, ...] = ()
     stderr: tuple[str, ...] = ()
@@ -48,6 +53,8 @@ class Case:
 def _cycle(n: int) -> dict:
     return {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]}
 
+
+DEEP = "[" * 100_000 + "]" * 100_000
 
 RAYS = {"r": 2.7755575615628914e-17, "boundaries": [0.3966429520069594, 1.0, 3.538235694630649, 4.0],
         "sector_colors": [1, 2, 3, 4], "boundary_colors": [0, 5, 0, 6]}
@@ -61,13 +68,22 @@ CASES = [
     Case("verify-tolerance-at-floor", ("verify", DOC, "--tolerance", "1e-15"), Written(("construct", "--r", "0.15")),
          stdout=("proper",)),
     Case("chi-radial-tiny-r", ("chi-radial", "--r", "1e-17"), stdout=("N=3",)),
+    # construct refuses a half-width outside (0, 1/2).
+    Case("construct-r-0.7", ("construct", "--r", "0.7"),
+         code=2, stderr=("error: annulus half-width must lie strictly in (0, 1/2), got 0.7",)),
     Case("verify-construction-tiny-r", ("verify", DOC), Written(("construct", "--r", "1e-17")), stdout=("proper",)),
     Case("verify-boolean-boundary", ("verify", DOC),
          {"r": 0.1, "boundaries": [0.0, True], "sector_colors": [0, 1], "boundary_colors": [0, 1]},
          code=2, stderr=("*coloring.boundaries[1]*",)),
     Case("verify-one-colour", ("verify", DOC),
          {"r": 0.3, "boundaries": [0.0, 3.0], "sector_colors": [0, 0], "boundary_colors": [0, 0]},
-         code=1, stdout=("color=0", "pieces=*", "witness=*")),
+         code=1, stdout=("improper", "color=0", "pieces=*", "witness=*")),
+    # 1/2 + r rounds to 1/2: the two rays hold a diameter, the only unit chord.
+    Case("verify-rays-diameter-tiny-r", ("verify", DOC),
+         {"r": 1e-17, "boundaries": [0.0, math.pi], "sector_colors": [0, 0], "boundary_colors": [0, 0]},
+         code=1, stdout=("improper", "witness=*")),
+    # Nesting past the parser's recursion limit is refused as malformed JSON.
+    Case("verify-deep-json", ("verify", DOC), DEEP, code=2, stderr=("*is not valid JSON*",)),
     # Two rays whose chord falls 1.11e-15 short of 1: proper at 1e-15, a
     # conflict at 1e-14.
     Case("verify-rays-at-1e-15", ("verify", DOC, "--tolerance", "1e-15"), RAYS, stdout=("proper",)),
@@ -78,6 +94,7 @@ CASES = [
     Case("solve-c101", ("solve", DOC), _cycle(101), stdout=("chi=3",)),
     Case("solve-c511", ("solve", DOC), _cycle(511), stdout=("chi=3",)),
     Case("solve-c512", ("solve", DOC), _cycle(512), stdout=("chi=2",)),
+    Case("solve-deep-json", ("solve", DOC), DEEP, code=2, stderr=("*is not valid JSON*",)),
     Case("solve-bad-edge", ("solve", DOC), {"n": 3, "edges": [[0, 1], [1, "x"]]},
          code=2, stderr=("*graph.edges[1]*",)),
     # 513 and 10^19 vertices are refused before any graph is built.
@@ -120,7 +137,7 @@ def _document(document, path: Path) -> None:
         if document.points:
             path.write_text(json.dumps({"points": json.loads(path.read_text())["vertices"]}))
     else:
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
 
 
 def _has_line(text: str, pattern: str) -> bool:
@@ -136,6 +153,8 @@ def test_cli_case(case, tmp_path):
     proc = _run([str(path) if a == DOC else a for a in case.argv], tmp_path)
     assert proc.returncode == case.code, proc.stderr
     assert "Traceback" not in proc.stderr
+    if proc.returncode == 1:
+        assert _has_line(proc.stdout, "improper") or _has_line(proc.stderr, "infeasible: *"), (proc.stdout, proc.stderr)
     for pattern in case.stdout:
         assert _has_line(proc.stdout, pattern), (pattern, proc.stdout)
     for pattern in case.stderr:
