@@ -530,6 +530,25 @@ class TestImport:
         assert proc.stdout.strip() == "False"
 
 
+class TestEntry:
+    """cli.entry, the console script's target, exits with main's result."""
+
+    @pytest.mark.parametrize("improper", [False, True], ids=["proper", "improper"])
+    def test_exit_status(self, tmp_path, capsys, monkeypatch, improper):
+        path = tmp_path / "coloring.json"
+        assert main(["construct", "--r", "0.15", "--out", str(path)]) == 0
+        if improper:
+            doc = json.loads(path.read_text())
+            doc["sector_colors"] = [0] * len(doc["sector_colors"])
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["annulus-chroma", "verify", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == (1 if improper else 0)
+        assert capsys.readouterr().out.splitlines()[0] == ("improper" if improper else "proper")
+
+
 class TestUnexpectedException:
     def test_a_crash_exits_internal_with_its_traceback(self, capsys, monkeypatch):
         def crash(r):
