@@ -136,14 +136,14 @@ def unit_chord_angle(outer_radius: float) -> float:
 #
 # A pair is analysed in plain floats and tuples: contains_unit_pair builds
 # objects only for a witness it returns, and sector_distance_interval only
-# the DistanceInterval it returns.  contains_unit_pair decides a miss in one
-# pass in its own frame, with no helper call: _difference_arc's prologue (in
-# the common case three comparisons: the tolerance, the annuli by identity,
-# the starts) and lo, hi; then, when pi lies off [lo, hi] by more than the
-# tolerance, g_max at the end of lesser cosine and d_max, in the operations
-# of _gap_extreme and _max_distance, so verdicts and witnesses are theirs to
-# the last bit.  A pair that pass does not rule out goes on to both
-# _gap_extreme calls.
+# the DistanceInterval it returns.  Both read a pair through _analyse_pair,
+# whose prologue is in the common case three comparisons (the tolerance,
+# the annuli by identity, the starts).  contains_unit_pair first decides a
+# miss in one pass in its own frame, with no helper call: that prologue and
+# lo, hi; then, when pi lies off [lo, hi] by more than the tolerance, g_max
+# at the end of lesser cosine and d_max, in _analyse_pair's float
+# operations, so each miss it decides is the full analysis's, to the last
+# bit.  A pair that pass does not rule out goes to _analyse_pair.
 # --------------------------------------------------------------------------
 
 
@@ -212,12 +212,14 @@ def _sector_key(s: AnnularSector):
     return (s.start, s.width, s.start_closed, s.end_closed)
 
 
-def _difference_arc(s1: AnnularSector, s2: AnnularSector, tolerance: float):
-    """(lo, hi, lo_ok, hi_ok, swapped): the range [lo, hi] of phi1 - phi2 for a pair of sectors.
+def _analyse_pair(s1: AnnularSector, s2: AnnularSector, tolerance: float):
+    """(swapped, lo, hi, gap_min, gap_max, d_min, d_max): the distance analysis of a pair of sectors.
 
-    The range is unwrapped and taken over the pair in canonical order
-    (swapped when that order is (s2, s1)); ``lo_ok`` and ``hi_ok`` say
-    whether a pair respecting the endpoint flags attains each end.
+    [lo, hi] is the range of phi1 - phi2, unwrapped and taken over the pair
+    in canonical order (swapped when that order is (s2, s1)).  gap_min and
+    gap_max are _gap_extreme's (gap, delta, attained) toward 0 and pi, with
+    each end of [lo, hi] attained when a pair respecting the endpoint flags
+    reaches it, and d_min and d_max the distance extremes they fix.
     """
     # An infinite tolerance still passes: every pair then holds a unit pair,
     # and perfbench's witness-checker test takes its degenerate witness.
@@ -240,20 +242,15 @@ def _difference_arc(s1: AnnularSector, s2: AnnularSector, tolerance: float):
     else:
         lo_ok = c1.start_closed and c2.end_closed
         hi_ok = c1.end_closed and c2.start_closed
-    return lo, hi, lo_ok, hi_ok, swapped
-
-
-def _max_distance(r: float, gap: float) -> float:
-    """d_max at largest circular gap ``gap`` in the annulus of half-width r."""
+    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
+    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
+    r = s1.annulus.r
     a = 0.5 - r
     b = 0.5 + r
-    s = math.sin(0.5 * gap)
-    return max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s))
-
-
-def _min_distance(r: float, gap: float) -> float:
-    """d_min at least circular gap ``gap`` in the annulus of half-width r."""
-    return 2.0 * (0.5 - r) * math.sin(0.5 * gap)
+    s = math.sin(0.5 * gap_max[0])
+    d_max = max(2.0 * b * s, math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s))
+    d_min = 2.0 * a * math.sin(0.5 * gap_min[0])
+    return swapped, lo, hi, gap_min, gap_max, d_min, d_max
 
 
 def sector_distance_interval(
@@ -266,11 +263,8 @@ def sector_distance_interval(
     realized by some pair of closure points; the attainment flags report
     whether the extremes survive the open/closed endpoint flags.
     """
-    lo, hi, lo_ok, hi_ok, _ = _difference_arc(s1, s2, tolerance)
-    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
-    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
-    r = s1.annulus.r
-    return DistanceInterval(_min_distance(r, gap_min[0]), _max_distance(r, gap_max[0]), gap_min[2], gap_max[2])
+    _, _, _, gap_min, gap_max, d_min, d_max = _analyse_pair(s1, s2, tolerance)
+    return DistanceInterval(d_min, d_max, gap_min[2], gap_max[2])
 
 
 def _pair_for_delta(s1: AnnularSector, s2: AnnularSector, delta: float) -> tuple[float, float]:
@@ -292,7 +286,7 @@ def _unit_chord_witness(
 ) -> tuple[Point, Point]:
     """Pair 1 apart on one circle: directions d apart at radius 1/(2*|sin(d/2)|).
 
-    [lo, hi] and ``swapped`` are _difference_arc's.  d is the point nearest
+    [lo, hi] and ``swapped`` are _analyse_pair's.  d is the point nearest
     the middle of the difference arc on its longest piece at circular
     distance in [theta, pi], so both angles sit strictly inside their arcs.
     Without such a piece of positive length, d is ``delta_at_extreme``,
@@ -329,7 +323,7 @@ def contains_unit_pair(
     The witness is closed-form: both points on the circle of radius
     1/(2*sin(delta/2)), delta their angular distance.
     """
-    # _difference_arc's prologue and lo, hi, in its float operations.
+    # _analyse_pair's prologue and lo, hi, in its float operations.
     if not 0.0 <= tolerance <= math.inf:
         _check_tolerance(tolerance, False)
     annulus = s1.annulus
@@ -347,7 +341,7 @@ def contains_unit_pair(
     # (which implies _gap_extreme's two span checks fail), exactly where
     # _gap_extreme(..., pi, ...) reaches its unreachable branch, so g_max is
     # the end of lesser cosine (the farther one in a 1e-12 tie) and d_max is
-    # _max_distance's, both in the same operations.
+    # _analyse_pair's, both in the same operations.
     u = (math.pi - lo) % TWO_PI
     if tolerance < u < TWO_PI - tolerance and u - (hi - lo) > tolerance:
         v_lo = math.cos(abs(lo))
@@ -365,18 +359,10 @@ def contains_unit_pair(
         if 1.0 > 2.0 * b * s + tolerance and 1.0 > math.sqrt((b - a) * (b - a) + 4.0 * a * b * s * s) + tolerance:
             return False, None
 
-    if c1.width >= TWO_PI or c2.width >= TWO_PI:
-        lo_ok = hi_ok = True
-    else:
-        lo_ok = c1.start_closed and c2.end_closed
-        hi_ok = c1.end_closed and c2.start_closed
     # No miss gets here: a pair off the one-pass test has g_max = pi, so
     # d_max >= 2*b*sin(pi/2) >= 1; and 1.0 < d_min - tolerance never holds,
     # as d_min = 2*a*sin(g_min/2) <= 2*a <= 1.
-    gap_max = _gap_extreme(lo, hi, lo_ok, hi_ok, math.pi, tolerance)
-    d_max = _max_distance(r, gap_max[0])
-    gap_min = _gap_extreme(lo, hi, lo_ok, hi_ok, 0.0, tolerance)
-    d_min = _min_distance(r, gap_min[0])
+    swapped, lo, hi, gap_min, gap_max, d_min, d_max = _analyse_pair(s1, s2, tolerance)
     interior = d_min + tolerance < 1.0 < d_max - tolerance
     if (
         interior

@@ -9,19 +9,9 @@ deterministically.  One DSATUR routine does both jobs: the greedy coloring
 that bounds the search from above is the search's own first descent.
 Vertex sets are Python ints used as bitsets (in the style of San Segundo
 et al. 2012): a graph is stored as one int of neighbours per vertex, and
-its edge list is derived from them; the uncolored vertices are one int,
-each color c keeps the int of uncolored vertices with a neighbour of
-color c, and each saturation level s keeps the int of vertices whose
-neighbours carry s distinct colors.  Painting a vertex moves the
-neighbours its color newly reaches up one level, walking down from the
-highest level they can sit in and stopping once all of them have moved.
-The next vertex is the highest-degree, then lowest-index uncolored vertex
-of the highest level that holds one.  The vertices of each degree are one
-int too, kept highest degree first, so the choice is the lowest bit of
-the first of them that meets that level: one AND per distinct degree, not
-one step per member of the level.  These degree groups are built once per
-solve and shared by the greedy clique, the greedy descent and every k
-level.
+its edge list is derived from them.  _color_with_limit describes the
+search's own bitsets: the uncolored vertices, each color's neighbourhood,
+the saturation levels and the degree groups.
 
 UnitDistanceGraph holds no points.  It checks edge lists, in one loop
 that reads self-loops and duplicates off the bitsets it builds;

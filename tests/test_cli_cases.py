@@ -84,6 +84,9 @@ CASES = [
          code=1, stdout=("improper", "witness=*")),
     # Nesting past the parser's recursion limit is refused as malformed JSON.
     Case("verify-deep-json", ("verify", DOC), DEEP, code=2, stderr=("*is not valid JSON*",)),
+    # A document that is not a JSON object is refused by name.
+    Case("verify-list-document", ("verify", DOC), "[]", code=2,
+         stderr=("error: coloring: expected an object, got list",)),
     # Two rays whose chord falls 1.11e-15 short of 1: proper at 1e-15, a
     # conflict at 1e-14.
     Case("verify-rays-at-1e-15", ("verify", DOC, "--tolerance", "1e-15"), RAYS, stdout=("proper",)),
@@ -95,6 +98,7 @@ CASES = [
     Case("solve-c511", ("solve", DOC), _cycle(511), stdout=("chi=3",)),
     Case("solve-c512", ("solve", DOC), _cycle(512), stdout=("chi=2",)),
     Case("solve-deep-json", ("solve", DOC), DEEP, code=2, stderr=("*is not valid JSON*",)),
+    Case("solve-int-document", ("solve", DOC), "5", code=2, stderr=("error: graph: expected an object, got int",)),
     Case("solve-bad-edge", ("solve", DOC), {"n": 3, "edges": [[0, 1], [1, "x"]]},
          code=2, stderr=("*graph.edges[1]*",)),
     # 513 and 10^19 vertices are refused before any graph is built.

@@ -493,6 +493,31 @@ class TestContainsUnitPair:
                 assert found
             if 1.0 < di.min - 1e-9 or 1.0 > di.max + 1e-9:
                 assert not found
+        # The docstring's contract at every tolerance, down to r = 5e-324:
+        # 1 inside the interval by more than the tolerance is found, 1
+        # outside it by more is a miss, and a hit in between has a witness 1
+        # apart within the tolerance and an attained extreme within it of 1.
+        counts = {"inside": 0, "outside": 0, "edge hits": 0}
+        for k in range(5000):
+            r = (5e-324, 2.0 ** -60, 1e-17, 1e-9, None)[k % 5]
+            tolerance = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-15.0, -3.0)
+            s1, s2, tolerance = random_sector_pair(rng, r, tolerance)
+            for a, b in ((s1, s2), (s2, s1)):
+                di = sector_distance_interval(a, b, tolerance)
+                found, witness = contains_unit_pair(a, b, tolerance)
+                assert found == (witness is not None), (a, b, tolerance)
+                if di.min + tolerance < 1.0 < di.max - tolerance:
+                    counts["inside"] += 1
+                    assert found, (a, b, tolerance)
+                elif 1.0 < di.min - tolerance or 1.0 > di.max + tolerance:
+                    counts["outside"] += 1
+                    assert not found, (a, b, tolerance)
+                elif found:
+                    counts["edge hits"] += 1
+                    assert abs(math.dist(*witness) - 1.0) <= tolerance, (a, b, tolerance)
+                    assert (abs(1.0 - di.min) <= tolerance and di.min_attained_interior) or (
+                        abs(1.0 - di.max) <= tolerance and di.max_attained_interior), (a, b, tolerance)
+        assert min(counts.values()) > 1000, counts
 
 
 class TestMissFromTheMaximum:
