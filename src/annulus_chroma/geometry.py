@@ -141,9 +141,10 @@ def unit_chord_angle(outer_radius: float) -> float:
 # the annuli by identity, the starts).  contains_unit_pair first decides a
 # miss in one pass in its own frame, with no helper call: that prologue and
 # lo, hi; then, when pi lies off [lo, hi] by more than the tolerance, g_max
-# at the end of lesser cosine and d_max, in _analyse_pair's float
-# operations, so each miss it decides is the full analysis's, to the last
-# bit.  A pair that pass does not rule out goes to _analyse_pair.
+# as the larger of the ends' circular distances and d_max, in
+# _analyse_pair's float operations, so each miss it decides is the full
+# analysis's, to the last bit.  A pair that pass does not rule out goes to
+# _analyse_pair.
 # --------------------------------------------------------------------------
 
 
@@ -187,25 +188,20 @@ def _gap_extreme(
     if u < span:
         return target, lo + u, True
 
-    # Target unreachable: the extreme is at the arc endpoint of greater
-    # (min) or lesser (max) cosine, the two counted equal within 1e-12.
-    # In a tie the value is the nearer (min) or farther (max) end's circular
-    # distance, which the cosines cannot tell apart near 0 and pi (lo when
-    # the two are equal), and the delta is that end's when it is attained,
-    # so a pair and its mirror image agree; the attained flag stays the
-    # tie's, set when either end is.
-    want_min = target == 0.0
-    v_lo = math.cos(abs(lo))
-    v_hi = math.cos(abs(hi))
-    if abs(v_lo - v_hi) <= 1e-12:
-        g_lo = abs(math.remainder(lo, TWO_PI))
-        g_hi = abs(math.remainder(hi, TWO_PI))
-        if (g_hi < g_lo) if want_min else (g_hi > g_lo):
-            return g_hi, hi if hi_ok or not lo_ok else lo, lo_ok or hi_ok
-        return g_lo, lo if lo_ok or not hi_ok else hi, lo_ok or hi_ok
-    if (v_lo > v_hi) == want_min:
-        return abs(math.remainder(lo, TWO_PI)), lo, lo_ok
-    return abs(math.remainder(hi, TWO_PI)), hi, hi_ok
+    # Target unreachable: the extreme is at the arc end of smaller (min) or
+    # larger (max) circular distance, lo when the two are equal.  An
+    # unattained extreme end whose cosine ties the attained other end's
+    # within 1e-12 hands the delta and the attained flag to that end, so a
+    # pair and its mirror image agree; the value stays the extreme end's.
+    g_lo = abs(math.remainder(lo, TWO_PI))
+    g_hi = abs(math.remainder(hi, TWO_PI))
+    if (g_hi < g_lo) if target == 0.0 else (g_hi > g_lo):
+        gap, end, end_ok, other, other_ok = g_hi, hi, hi_ok, lo, lo_ok
+    else:
+        gap, end, end_ok, other, other_ok = g_lo, lo, lo_ok, hi, hi_ok
+    if other_ok and not end_ok and abs(math.cos(abs(lo)) - math.cos(abs(hi))) <= 1e-12:
+        return gap, other, True
+    return gap, end, end_ok
 
 
 def _sector_key(s: AnnularSector):
@@ -340,18 +336,11 @@ def contains_unit_pair(
     # The one-pass miss: pi lies off [lo, hi] by more than the tolerance
     # (which implies _gap_extreme's two span checks fail), exactly where
     # _gap_extreme(..., pi, ...) reaches its unreachable branch, so g_max is
-    # the end of lesser cosine (the farther one in a 1e-12 tie) and d_max is
-    # _analyse_pair's, both in the same operations.
+    # the larger of the ends' circular distances and d_max is _analyse_pair's,
+    # both in the same operations.
     u = (math.pi - lo) % TWO_PI
     if tolerance < u < TWO_PI - tolerance and u - (hi - lo) > tolerance:
-        v_lo = math.cos(abs(lo))
-        v_hi = math.cos(abs(hi))
-        if abs(v_lo - v_hi) <= 1e-12:
-            gap = max(abs(math.remainder(lo, TWO_PI)), abs(math.remainder(hi, TWO_PI)))
-        elif v_lo > v_hi:
-            gap = abs(math.remainder(hi, TWO_PI))
-        else:
-            gap = abs(math.remainder(lo, TWO_PI))
+        gap = max(abs(math.remainder(lo, TWO_PI)), abs(math.remainder(hi, TWO_PI)))
         a = 0.5 - r
         b = 0.5 + r
         s = math.sin(0.5 * gap)

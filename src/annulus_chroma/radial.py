@@ -158,9 +158,6 @@ class RadialColoring:
     def boundary_segment(self, i: int) -> AnnularSector:
         return AnnularSector(self.annulus, self.boundaries[i], 0.0)
 
-    def colors_used(self) -> list[int]:
-        return sorted(set(self.sector_colors) | set(self.boundary_colors))
-
 
 @dataclass(frozen=True)
 class VerificationResult:

@@ -158,13 +158,6 @@ def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> Unit
     return UnitDistanceGraph(len(pts), edges)
 
 
-def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
-    """True iff the assignment gives different colors to the ends of every edge."""
-    if len(assignment) != graph.n:
-        raise ValueError(f"expected {graph.n} colors, got {len(assignment)}")
-    return all(assignment[i] != assignment[j] for i, j in graph.edges)
-
-
 def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
     """Maximal clique grown greedily by descending degree, then ascending index; a chromatic lower bound."""
     return _greedy_clique(graph.masks, _degree_groups(graph.masks))

@@ -199,6 +199,11 @@ def random_proper_radial_coloring(rng: random.Random, r: float, max_cuts: int = 
     )
 
 
+def colors_used(coloring: RadialColoring) -> list[int]:
+    """The sorted distinct colors of a coloring's sectors and rays."""
+    return sorted(set(coloring.sector_colors) | set(coloring.boundary_colors))
+
+
 def window_edge_coloring(rng: random.Random) -> tuple[RadialColoring, float]:
     """(coloring, tolerance): two rays of color 0 whose outer chord is 1 - f*tolerance, f in [0, 1.2].
 
@@ -220,6 +225,13 @@ def window_edge_coloring(rng: random.Random) -> tuple[RadialColoring, float]:
     n = len(rays)
     ray_colors = [0 if a in (first, first + gap) else n + 1 + i for i, a in enumerate(rays)]
     return RadialColoring(Annulus(r), rays, range(1, n + 1), ray_colors), tolerance
+
+
+def is_proper(graph: UnitDistanceGraph, assignment) -> bool:
+    """True iff the assignment gives different colors to the ends of every edge."""
+    if len(assignment) != graph.n:
+        raise ValueError(f"expected {graph.n} colors, got {len(assignment)}")
+    return all(assignment[i] != assignment[j] for i, j in graph.edges)
 
 
 def brute_chromatic(graph: UnitDistanceGraph) -> int:
@@ -252,8 +264,6 @@ def brute_chromatic(graph: UnitDistanceGraph) -> int:
 def brute_colorable(graph: UnitDistanceGraph, k: int) -> bool:
     """Whether some k-coloring is proper, by scanning assignments exhaustively."""
     import itertools
-
-    from annulus_chroma.udg import is_proper
 
     return any(is_proper(graph, assignment) for assignment in itertools.product(range(k), repeat=graph.n))
 
@@ -711,6 +721,65 @@ def reference_contains_unit_pair(s1: AnnularSector, s2: AnnularSector, tolerance
     ):
         return True, _reference_unit_chord_witness(analysis, s1.annulus.outer_radius)
     return False, None
+
+
+def reference_gap_extreme(
+    lo: float,
+    hi: float,
+    lo_ok: bool,
+    hi_ok: bool,
+    target: float,
+    tolerance: float,
+) -> tuple[float, float, bool]:
+    """geometry._gap_extreme with the cosine rule it used before it compared circular distances.
+
+    An unreachable extreme sits at the arc end of greater (min) or lesser
+    (max) cosine, and ends whose cosines tie within 1e-12 are judged by
+    circular distance.  Kept unchanged so tests can require bit-identical
+    results from the circular-distance rule.
+    """
+    span = hi - lo
+
+    if span >= TWO_PI + tolerance:
+        return target, lo + ((target - lo) % TWO_PI), True
+
+    u = (target - lo) % TWO_PI
+    if u >= TWO_PI - tolerance:
+        u = 0.0
+
+    at_lo = u <= tolerance
+    at_hi = abs(u - span) <= tolerance
+    if abs(span - TWO_PI) <= tolerance:
+        # Full circle with a single seam at lo (== hi mod 2*pi).
+        at_lo = at_hi = at_lo or u >= span - tolerance
+    if at_lo and at_hi:
+        return target, lo if lo_ok else hi, lo_ok or hi_ok
+    if at_lo:
+        return target, lo, lo_ok
+    if at_hi:
+        return target, hi, hi_ok
+    if u < span:
+        return target, lo + u, True
+
+    # Target unreachable: the extreme is at the arc endpoint of greater
+    # (min) or lesser (max) cosine, the two counted equal within 1e-12.
+    # In a tie the value is the nearer (min) or farther (max) end's circular
+    # distance, which the cosines cannot tell apart near 0 and pi (lo when
+    # the two are equal), and the delta is that end's when it is attained,
+    # so a pair and its mirror image agree; the attained flag stays the
+    # tie's, set when either end is.
+    want_min = target == 0.0
+    v_lo = math.cos(abs(lo))
+    v_hi = math.cos(abs(hi))
+    if abs(v_lo - v_hi) <= 1e-12:
+        g_lo = abs(math.remainder(lo, TWO_PI))
+        g_hi = abs(math.remainder(hi, TWO_PI))
+        if (g_hi < g_lo) if want_min else (g_hi > g_lo):
+            return g_hi, hi if hi_ok or not lo_ok else lo, lo_ok or hi_ok
+        return g_lo, lo if lo_ok or not hi_ok else hi, lo_ok or hi_ok
+    if (v_lo > v_hi) == want_min:
+        return abs(math.remainder(lo, TWO_PI)), lo, lo_ok
+    return abs(math.remainder(hi, TWO_PI)), hi, hi_ok
 
 
 def random_sector_pair(

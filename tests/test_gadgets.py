@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from annulus_chroma import gadgets
 from annulus_chroma.gadgets import (
     GadgetEmbedding,
     GadgetInfeasible,
@@ -24,7 +25,7 @@ from annulus_chroma.gadgets import (
     spindle_points,
     trirod_rotation_path,
 )
-from annulus_chroma.geometry import Annulus
+from annulus_chroma.geometry import Annulus, unit_chord_angle
 from annulus_chroma.radial import thresholds
 from annulus_chroma.udg import build_udg, chromatic_number_exact
 from oracles import annulus_contains, reference_odd_cycle
@@ -151,6 +152,31 @@ class TestOddCycle:
             assert emb.params == {"r": r, "n": n, "w": w, "rho": rho}
             assert emb.vertices == vertices
         assert 300 < raised < 400
+
+    def test_a_start_off_the_bound_moves_to_the_same_n(self, monkeypatch):
+        # The first guess at n comes from theta; the loops after it move n
+        # down while n - 2 fits and up while n does not.  With theta off by
+        # 1e-3 or by 4 ulps either way, the guess lands off the bound and the
+        # loops must reach the same cycle.
+        rng = random.Random(173)
+        rs = [math.exp(rng.uniform(math.log(ODD_CYCLE_THRESHOLD), math.log(0.49))) for _ in range(200)]
+        expected = {r: embed_odd_cycle(r) for r in rs}
+        moves = {"up": 0, "down": 0}
+        for skew in (
+            lambda t: t * (1.0 - 1e-3),
+            lambda t: t * (1.0 + 1e-3),
+            lambda t: t - 4.0 * math.ulp(t),
+            lambda t: t + 4.0 * math.ulp(t),
+        ):
+            monkeypatch.setattr(gadgets, "unit_chord_angle", lambda outer, skew=skew: skew(unit_chord_angle(outer)))
+            for r in rs:
+                got, want = embed_odd_cycle(r), expected[r]
+                assert (got.params["n"], got.vertices, got.margin) == (want.params["n"], want.vertices, want.margin), r
+                theta = skew(unit_chord_angle(Annulus(r).outer_radius))
+                start = max(3, math.ceil(math.pi / (math.pi - theta))) | 1
+                moves["up"] += start < got.params["n"]
+                moves["down"] += start > got.params["n"]
+        assert moves["up"] > 0 and moves["down"] > 0, moves
 
     def test_infeasible_below_threshold(self):
         assert ODD_CYCLE_THRESHOLD == pytest.approx(6.294e-5, rel=1e-3)

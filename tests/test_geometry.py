@@ -26,6 +26,7 @@ from oracles import (
     random_sector,
     random_sector_pair,
     reference_contains_unit_pair,
+    reference_gap_extreme,
     reference_sector_distance_interval,
     reference_verify_radial_coloring,
     sampled_extremes,
@@ -862,3 +863,66 @@ class TestGapTies:
                     assert _bits(got) == _bits(ref), (r, gap, rays)
                     improper += not got.proper
         assert improper > 0
+
+
+def _cosine_tie_ends(rng: random.Random) -> tuple[float, float]:
+    """Two angles around 0 or pi (mod 2*pi) whose cosines tie within 1e-12, each nudged by a few ulps."""
+    centre = rng.choice((0.0, math.pi))
+    near = 10.0 ** rng.uniform(-9.0, -2.0)
+    far = math.acos(min(math.cos(near) + rng.uniform(-1e-12, 1e-12), 1.0))
+    ends = []
+    for gap in (near, far):
+        for _ in range(rng.randrange(4)):
+            gap = math.nextafter(gap, rng.choice((0.0, 4.0)))
+        ends.append(centre + rng.choice((-1.0, 1.0)) * gap + TWO_PI * rng.randint(-2, 1))
+    return min(ends), max(ends)
+
+
+class _CosineCounter:
+    """geometry's math module with its cos calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.calls += 1
+        return math.cos(x)
+
+
+class TestGapExtremeEndpoints:
+    # _gap_extreme picks an unreachable extreme's end by circular distance and
+    # reads cosines only to let an attained end take over an unattained one
+    # that ties it within 1e-12.  The reference picks the end by cosine, and
+    # by circular distance inside a tie.  Ends more than 1e-12 apart in cosine
+    # are more than that apart in circular distance, far beyond the error of
+    # remainder over the float 2*pi, so the two agree to the last bit.  Within
+    # radial colourings both ends are attained or neither is; the tie that
+    # hands the extreme to the other end needs mixed flags.
+    def test_same_as_the_cosine_rule(self, monkeypatch):
+        counter = _CosineCounter()
+        monkeypatch.setattr(geometry, "math", counter)
+        rng = random.Random(29)
+        tie_attain = 0
+        for k in range(20_000):
+            tolerance = 0.0 if k % 4 == 0 else 10.0 ** rng.uniform(-15.0, -3.0)
+            if k % 2:
+                lo, hi = _cosine_tie_ends(rng)
+            else:
+                theta = unit_chord_angle(0.5 + 10.0 ** rng.uniform(-17.0, math.log10(0.49)))
+                edge = rng.choice((theta, math.pi, TWO_PI)) + rng.choice((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)) * tolerance
+                span = rng.choice((0.0, rng.uniform(0.0, 1e-6), edge, rng.uniform(0.0, 2.0 * TWO_PI)))
+                lo = rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI)
+                hi = lo + span
+            for target in (0.0, math.pi):
+                for lo_ok, hi_ok in itertools.product((True, False), repeat=2):
+                    counter.calls = 0
+                    got = geometry._gap_extreme(lo, hi, lo_ok, hi_ok, target, tolerance)
+                    ref = reference_gap_extreme(lo, hi, lo_ok, hi_ok, target, tolerance)
+                    assert _bits(got) == _bits(ref), (lo, hi, lo_ok, hi_ok, target, tolerance)
+                    if counter.calls:
+                        assert lo_ok != hi_ok, (lo, hi, lo_ok, hi_ok, target, tolerance)
+                        tie_attain += got[2]
+        assert tie_attain >= 500, tie_attain

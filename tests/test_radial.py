@@ -23,6 +23,7 @@ from annulus_chroma.radial import (
 )
 from annulus_chroma.schema import SchemaError
 from oracles import (
+    colors_used,
     construction_exactly_proper,
     exact_radial_chromatic_number,
     load_outcome,
@@ -214,7 +215,7 @@ class TestConstruct:
             r = rng.uniform(0.001, 0.499)
             c = construct_radial_coloring(r)
             assert verify_radial_coloring(c).proper
-            assert len(c.colors_used()) == radial_chromatic_number(r)
+            assert len(colors_used(c)) == radial_chromatic_number(r)
 
     def test_leftover_width_in_range(self):
         rng = random.Random(6)

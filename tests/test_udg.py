@@ -19,11 +19,11 @@ from annulus_chroma.udg import (
     graph_from_json,
     greedy_clique,
     greedy_coloring,
-    is_proper,
 )
 from oracles import (
     brute_chromatic,
     brute_colorable,
+    is_proper,
     load_outcome,
     mycielski,
     random_graph,
