@@ -159,7 +159,11 @@ def build_udg(points: list[Point], tolerance: float = DEFAULT_TOLERANCE) -> Unit
 
 
 def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
-    """Maximal clique grown greedily by descending degree, then ascending index; a chromatic lower bound."""
+    """Maximal clique grown greedily by descending degree, then ascending index; a chromatic lower bound.
+
+    Its vertices, in its order, are the first picks of every DSATUR descent
+    the exact solver makes, colored 0, 1, 2, ...
+    """
     return _greedy_clique(graph.masks, _degree_groups(graph.masks))
 
 
@@ -170,7 +174,7 @@ def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
     vertex: past about 990 vertices it exceeds Python's default recursion
     limit.
     """
-    return tuple(_color_with_limit(graph.masks, graph.n, [], _degree_groups(graph.masks)))
+    return tuple(_color_with_limit(graph.masks, graph.n, _degree_groups(graph.masks)))
 
 
 def _degree_groups(masks: tuple[int, ...]) -> list[int]:
@@ -196,15 +200,18 @@ def _greedy_clique(masks: tuple[int, ...], groups: list[int]) -> list[int]:
     return clique
 
 
-def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int], groups: list[int]) -> list[int] | None:
+def _color_with_limit(masks: tuple[int, ...], k: int, groups: list[int]) -> list[int] | None:
     """Proper coloring with at most k colors, or None.
 
-    Backtracking with saturation-degree vertex selection; the seed clique is
-    pre-colored 0, 1, 2, ... and elsewhere new colors are only introduced in
-    order, which breaks color-permutation symmetry without losing
-    completeness.  Colors are tried lowest first, and with k = n a vertex
-    can always take a color no vertex has yet, so with k = n and no seed
-    the first descent never backtracks: it is the greedy coloring.
+    Backtracking with saturation-degree vertex selection; new colors are
+    only introduced in order, which breaks color-permutation symmetry
+    without losing completeness.  Colors are tried lowest first, and with
+    k = n a vertex can always take a color no vertex has yet, so the first
+    descent never backtracks: it is the greedy coloring.  No clique needs
+    pre-coloring: at any k >= |clique| the first |clique| picks are
+    _greedy_clique's vertices in its order, each forced to the next new
+    color, since the free vertices next to every one painted so far form
+    the top level.
 
     near[c] is the bitset of uncolored vertices with a neighbour of color
     c, and level[s] the bitset of vertices whose colored neighbours carry s
@@ -218,33 +225,17 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int], groups: l
     Painting v with c adds v's uncolored neighbours not yet in near[c] to
     near[c] and moves them up one level: a walk down the levels from the
     highest they can sit in, which stops once all of them have moved, at
-    the lowest level that holds one of them.  The seed's levels come from
-    the same walk: every uncolored vertex starts in level 0, and each seed
-    vertex in turn moves its uncolored neighbours up one level.  Unpainting
-    puts back the near[c] read before the paint and moves that same set
-    back down the same way.  Vertices are unpainted in reverse order, so
-    the bits of an uncolored vertex are never stale.
+    the lowest level that holds one of them.  Unpainting puts back the
+    near[c] read before the paint and moves that same set back down the
+    same way.  Vertices are unpainted in reverse order, so the bits of an
+    uncolored vertex are never stale.
     """
     n = len(masks)
     colors = [-1] * n
     near = [0] * k
     free = (1 << n) - 1
-    for v in seed:
-        free ^= 1 << v
     level = [0] * (k + 1)
     level[0] = free
-    # The seed is a clique of distinct colors, so seed vertex c's neighbours
-    # sit at level c or below before it moves them.
-    for c, v in enumerate(seed):
-        colors[v] = c
-        rest = near[c] = masks[v] & free
-        s = c
-        while rest:
-            moved = level[s] & rest
-            level[s] ^= moved
-            level[s + 1] |= moved
-            rest ^= moved
-            s -= 1
 
     def extend(free: int, max_used: int) -> bool:
         if not free:
@@ -297,7 +288,7 @@ def _color_with_limit(masks: tuple[int, ...], k: int, seed: list[int], groups: l
                 s -= 1
         return False
 
-    if extend(free, len(seed) - 1):
+    if extend(free, -1):
         return colors
     return None
 
@@ -321,10 +312,10 @@ def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssig
     masks = graph.masks
     groups = _degree_groups(masks)
     clique = _greedy_clique(masks, groups)
-    upper = tuple(_color_with_limit(masks, graph.n, [], groups))
+    upper = tuple(_color_with_limit(masks, graph.n, groups))
     upper_k = max(upper) + 1
     for k in range(len(clique), upper_k):
-        witness = _color_with_limit(masks, k, clique, groups)
+        witness = _color_with_limit(masks, k, groups)
         if witness is not None:
             return k, tuple(witness)
     return upper_k, upper

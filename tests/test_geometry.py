@@ -623,9 +623,9 @@ def _one_pass_edge_pieces(annulus: Annulus, tolerance: float):
 
 class TestOnePassMissEdges:
     # contains_unit_pair decides a miss in one pass when pi lies off the
-    # difference arc by more than the tolerance, with g_max the end of lesser
-    # cosine (the farther one in a 1e-12 tie).  Each edge of that test,
-    # against the reference, to the last bit, in both argument orders.  The
+    # difference arc by more than the tolerance, with g_max the larger of the
+    # two ends' circular distances.  Each edge of that test, against the
+    # reference, to the last bit, in both argument orders.  The
     # exception is a pair whose arc ends tie within 1e-12 in cosine: the
     # library builds a tie's witness at the farther end when it is attained,
     # the reference at the arc's hi end, so there the verdicts agree and a

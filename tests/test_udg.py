@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulus_chroma import udg
 from annulus_chroma.gadgets import SPINDLE_EDGES, embed_odd_cycle, spindle_points
 from annulus_chroma.schema import SchemaError
 from annulus_chroma.udg import (
@@ -28,6 +29,7 @@ from oracles import (
     mycielski,
     random_graph,
     reference_chromatic_number,
+    reference_color_with_limit,
     reference_graph_from_json,
     reference_greedy_clique,
     reference_greedy_coloring,
@@ -391,19 +393,9 @@ class TestReferenceIdentity:
         assert chromatic_number_exact(graph)[0] == 7
 
     def test_minkowski_sum_graphs(self):
-        # Graphs like the certificate search's: points of _minkowski_points()
-        # inside seeded annuli, 150 to 250 vertices, chi 3 or 4.
-        points = _minkowski_points()
-        rng = random.Random(2015)
         chis = []
-        for r in (0.28, 0.29, 0.3, 0.32) * 2:
-            while True:
-                centre = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-                inside = [p for p in points if abs(math.dist(p, centre) - 0.5) <= r]
-                if 150 <= len(inside) <= 250:
-                    break
-            graph = build_udg(inside)
-            assert _same_as_reference(graph), f"r={r}, centre={centre}"
+        for label, graph in _minkowski_graphs():
+            assert _same_as_reference(graph), label
             chis.append(chromatic_number_exact(graph)[0])
         assert set(chis) == {3, 4}, chis
 
@@ -414,6 +406,34 @@ class TestReferenceIdentity:
         assert greedy_coloring(graph) == (0, 1, 1, 1, 2)
         assert _same_as_reference(graph)
 
+    def test_every_level_paints_the_greedy_clique_first(self):
+        # The search pre-colors nothing: its first picks are the greedy
+        # clique's vertices in order, each forced to the next new color.  At
+        # every k from |clique| to chi, failing levels included, it matches
+        # the reference search that pre-colors the clique 0, 1, 2, ...
+        rng = random.Random(2016)
+        graphs = []
+        for i in range(240):
+            n, p = rng.randrange(1, 30), 0.1 + 0.8 * i / 239
+            graphs.append((f"G({n}, {p:.2f})", _gnp(rng, n, p)))
+        graphs += [(f"M{k}", mycielski(k, random.Random(k))) for k in (3, 4, 5)]
+        graphs += list(_minkowski_graphs())
+        levels = failing = 0
+        for label, graph in graphs:
+            clique = greedy_clique(graph)
+            coloring = greedy_coloring(graph)
+            assert [coloring[v] for v in clique] == list(range(len(clique))), label
+            groups = udg._degree_groups(graph.masks)
+            for k in range(len(clique), chromatic_number_exact(graph)[0] + 1):
+                got = udg._color_with_limit(graph.masks, k, groups)
+                assert got == reference_color_with_limit(list(graph.masks), k, clique), (label, k)
+                levels += 1
+                if got is None:
+                    failing += 1
+                else:
+                    assert [got[v] for v in clique] == list(range(len(clique))), (label, k)
+        assert levels >= 350 and failing >= 100, (levels, failing)
+
     def test_clique_tie_on_degree_goes_to_the_lower_index(self):
         # 1 and 3 lead on degree and are not adjacent: 1 enters the clique,
         # though 3 lies in the triangle 0, 3, 4.  5 then joins 1.
@@ -421,6 +441,19 @@ class TestReferenceIdentity:
         assert greedy_clique(graph) == [1, 5]
         assert _same_as_reference(graph)
         assert chromatic_number_exact(graph)[0] == 3
+
+
+def _minkowski_graphs():
+    """(label, graph) for graphs like the certificate search's: points of _minkowski_points() inside seeded annuli, 150 to 250 vertices, chi 3 or 4."""
+    points = _minkowski_points()
+    rng = random.Random(2015)
+    for r in (0.28, 0.29, 0.3, 0.32) * 2:
+        while True:
+            centre = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            inside = [p for p in points if abs(math.dist(p, centre) - 0.5) <= r]
+            if 150 <= len(inside) <= 250:
+                break
+        yield f"r={r}, centre={centre}", build_udg(inside)
 
 
 def _minkowski_points() -> list[tuple[float, float]]:
