@@ -5,8 +5,10 @@ turns a point set into a graph by connecting pairs at distance 1 (within a
 tolerance).  Chromatic numbers come from branch-and-bound with a greedy
 clique lower bound, DSATUR-style saturation ordering (Brelaz 1979), and
 color-symmetry breaking, so small instances solve exactly and
-deterministically.  One DSATUR routine does both jobs: the greedy coloring
-that bounds the search from above is the search's own first descent.
+deterministically.  One greedy DSATUR descent runs per solve: its coloring
+bounds the search from above, and it pauses before each new color k from
+the clique's size up, where the search for a k-coloring resumes from its
+state instead of walking the same picks again from the root.
 Vertex sets are Python ints used as bitsets (in the style of San Segundo
 et al. 2012): a graph is stored as one int of neighbours per vertex, and
 its edge list is derived from them.  _color_with_limit describes the
@@ -29,7 +31,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .geometry import DEFAULT_TOLERANCE, Point, _check_tolerance
 from .schema import (
@@ -170,11 +172,13 @@ def greedy_clique(graph: UnitDistanceGraph) -> list[int]:
 def greedy_coloring(graph: UnitDistanceGraph) -> ColoringAssignment:
     """Proper coloring by repeatedly coloring the most saturated uncolored vertex.
 
-    This is the exact search's first descent, which recurses once per
-    vertex: past about 990 vertices it exceeds Python's default recursion
-    limit.
+    This is the exact search's greedy descent, run to its end.
     """
-    return tuple(_color_with_limit(graph.masks, graph.n, _degree_groups(graph.masks)))
+    masks = graph.masks
+    colors = [-1] * graph.n
+    for _ in _greedy_descent(masks, _degree_groups(masks), graph.n, colors):
+        pass  # no color reaches n: the descent never pauses
+    return tuple(colors)
 
 
 def _degree_groups(masks: tuple[int, ...]) -> list[int]:
@@ -200,18 +204,74 @@ def _greedy_clique(masks: tuple[int, ...], groups: list[int]) -> list[int]:
     return clique
 
 
-def _color_with_limit(masks: tuple[int, ...], k: int, groups: list[int]) -> list[int] | None:
-    """Proper coloring with at most k colors, or None.
+def _greedy_descent(masks: tuple[int, ...], groups: list[int], first: int, colors: list[int]) -> Iterator[tuple]:
+    """DSATUR's greedy descent into colors, a list of n -1s, as a loop that pauses before each new color k >= first.
+
+    Each pick colors the most saturated free vertex, the highest-degree and
+    then lowest-index one (groups comes from _degree_groups), with the
+    lowest color none of its neighbours has, so the descent never
+    backtracks.  near and level are _color_with_limit's bitsets, and the
+    descent keeps a trail of (vertex, bit, color, max_used before the
+    paint, free after the pick, the vertices the paint moved up a level).
+    A pick sees every color in use exactly when it needs a new one, k; if k
+    >= first, the descent yields (trail, colors, near[:k], level[:k + 1])
+    before painting it, the trail being its own list and the rest copies.
+    So the pauses come at k = first, first + 1, ..., below the count of
+    colors its coloring uses.
+    """
+    n = len(masks)
+    near = [0] * n
+    free = (1 << n) - 1
+    level = [0] * (n + 1)
+    level[0] = free
+    trail: list[tuple[int, int, int, int, int, int]] = []
+    max_used = -1
+    while free:
+        s = max_used + 1
+        while not level[s] & free:
+            s -= 1
+        choice = level[s] & free
+        for group in groups:
+            if pick := group & choice:
+                break
+        bit = pick & -pick
+        v = bit.bit_length() - 1
+        if s > max_used:
+            c = s
+            if c >= first:
+                yield trail, colors[:], near[:c], level[:c + 1]
+            used = c
+        else:
+            c = 0
+            while near[c] & bit:
+                c += 1
+            used = max_used
+        free ^= bit
+        new = masks[v] & free & ~near[c]
+        colors[v] = c
+        near[c] |= new
+        _move_up(level, new, used)
+        trail.append((v, bit, c, max_used, free, new))
+        max_used = used
+
+
+def _color_with_limit(masks: tuple[int, ...], groups: list[int], trail: list, colors: list[int],
+                      near: list[int], level: list[int]) -> list[int] | None:
+    """Proper coloring with at most k = len(near) colors, or None, searched from a pause of _greedy_descent.
 
     Backtracking with saturation-degree vertex selection; new colors are
     only introduced in order, which breaks color-permutation symmetry
-    without losing completeness.  Colors are tried lowest first, and with
-    k = n a vertex can always take a color no vertex has yet, so the first
-    descent never backtracks: it is the greedy coloring.  No clique needs
-    pre-coloring: at any k >= |clique| the first |clique| picks are
-    _greedy_clique's vertices in its order, each forced to the next new
-    color, since the free vertices next to every one painted so far form
-    the top level.
+    without losing completeness.  Colors are tried lowest first.  The
+    search from the root, with every vertex free, would first walk the
+    greedy descent, whose picks take the lowest colors they can, until the
+    pick that needs color k; there that node fails.  So this search starts
+    at that pause, with the descent's state there, and backtracks into the
+    trail's frames, deepest first: each frame's paint is undone and the
+    colors left after the descent's choice are tried, with extend
+    searching below.  No clique needs pre-coloring: at any k >= |clique|
+    the first |clique| picks are _greedy_clique's vertices in its order,
+    each forced to the next new color, since the free vertices next to
+    every one painted so far form the top level.
 
     near[c] is the bitset of uncolored vertices with a neighbour of color
     c, and level[s] the bitset of vertices whose colored neighbours carry s
@@ -221,21 +281,17 @@ def _color_with_limit(masks: tuple[int, ...], k: int, groups: list[int]) -> list
     level is k the vertex has no color left.  groups holds the bitset of
     each degree's vertices, highest degree first, so the vertex is the
     lowest bit of the first group that meets that level; the caller builds
-    it once per solve with _degree_groups and passes it to every call.
-    Painting v with c adds v's uncolored neighbours not yet in near[c] to
-    near[c] and moves them up one level: a walk down the levels from the
-    highest they can sit in, which stops once all of them have moved, at
-    the lowest level that holds one of them.  Unpainting puts back the
-    near[c] read before the paint and moves that same set back down the
-    same way.  Vertices are unpainted in reverse order, so the bits of an
-    uncolored vertex are never stale.
+    it once per solve with _degree_groups.  Painting v with c adds v's
+    uncolored neighbours not yet in near[c] to near[c] and moves them up
+    one level: a walk down the levels from the highest they can sit in,
+    which stops once all of them have moved, at the lowest level that
+    holds one of them.  Unpainting puts back the near[c] read before the
+    paint and moves that same set back down the same way.  Vertices are
+    unpainted in reverse order, so the bits of an uncolored vertex are
+    never stale.  colors, near and level are the pause's copies, changed
+    in place; trail is only read.
     """
-    n = len(masks)
-    colors = [-1] * n
-    near = [0] * k
-    free = (1 << n) - 1
-    level = [0] * (k + 1)
-    level[0] = free
+    k = len(near)
 
     def extend(free: int, max_used: int) -> bool:
         if not free:
@@ -288,9 +344,45 @@ def _color_with_limit(masks: tuple[int, ...], k: int, groups: list[int]) -> list
                 s -= 1
         return False
 
-    if extend(free, -1):
-        return colors
+    # Each frame's paint undone, extend's color loop from the color after the descent's.
+    for v, bit, chosen, max_used, free, moved in reversed(trail):
+        near[chosen] ^= moved
+        _move_down(level, moved, (chosen if chosen > max_used else max_used) + 1)
+        neighbours = masks[v] & free
+        for c in range(chosen + 1, max_used + 2 if max_used < k - 1 else k):
+            near_c = near[c]
+            if near_c & bit:
+                continue
+            colors[v] = c
+            new = neighbours & ~near_c
+            near[c] = near_c | new
+            used = c if c > max_used else max_used
+            _move_up(level, new, used)
+            if extend(free, used):
+                return colors
+            near[c] = near_c
+            _move_down(level, new, used + 1)
     return None
+
+
+def _move_up(level: list[int], rest: int, s: int) -> None:
+    """Moves the vertices of rest up one level, walking down from level s until all have moved."""
+    while rest:
+        moved = level[s] & rest
+        level[s] ^= moved
+        level[s + 1] |= moved
+        rest ^= moved
+        s -= 1
+
+
+def _move_down(level: list[int], rest: int, s: int) -> None:
+    """Moves the vertices of rest down one level, walking down from level s until all have moved."""
+    while rest:
+        moved = level[s] & rest
+        level[s] ^= moved
+        level[s - 1] |= moved
+        rest ^= moved
+        s -= 1
 
 
 def _check_solver_size(n: int) -> None:
@@ -301,24 +393,25 @@ def _check_solver_size(n: int) -> None:
 def chromatic_number_exact(graph: UnitDistanceGraph) -> tuple[int, ColoringAssignment]:
     """Exact chromatic number with a proper witness using that many colors.
 
-    Searches k = |clique|, |clique|+1, ... until a k-coloring exists; the
-    greedy coloring bounds the search from above, so the loop always
-    terminates at the exact value.  Fully deterministic.  A graph of more
-    than MAX_VERTICES (512) vertices raises ValueError: the search recurses
-    once per vertex, and 512 keeps it under Python's default recursion
-    limit.
+    Searches k = |clique|, |clique|+1, ... until a k-coloring exists.  One
+    greedy descent runs per solve and pauses before each new color k it
+    needs; level k resumes from that pause, and if it fails the descent
+    goes on.  The descent's own coloring bounds the search from above, so
+    the loop always terminates at the exact value.  Fully deterministic.  A
+    graph of more than MAX_VERTICES (512) vertices raises ValueError: each
+    level's search recurses once per vertex, and 512 keeps it under
+    Python's default recursion limit.
     """
     _check_solver_size(graph.n)
     masks = graph.masks
     groups = _degree_groups(masks)
     clique = _greedy_clique(masks, groups)
-    upper = tuple(_color_with_limit(masks, graph.n, groups))
-    upper_k = max(upper) + 1
-    for k in range(len(clique), upper_k):
-        witness = _color_with_limit(masks, k, groups)
+    upper = [-1] * graph.n
+    for trail, colors, near, level in _greedy_descent(masks, groups, len(clique), upper):
+        witness = _color_with_limit(masks, groups, trail, colors, near, level)
         if witness is not None:
-            return k, tuple(witness)
-    return upper_k, upper
+            return len(near), tuple(witness)
+    return max(upper) + 1, tuple(upper)
 
 
 def graph_from_json(data: dict) -> UnitDistanceGraph:

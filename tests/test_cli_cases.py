@@ -55,6 +55,8 @@ def _cycle(n: int) -> dict:
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
+# chi 3, clique [1, 2], and 4 colors in the greedy coloring.
+BELOW_GREEDY = {"n": 7, "edges": [[0, 1], [0, 3], [1, 2], [1, 3], [2, 4], [2, 6], [3, 5], [4, 5], [4, 6], [5, 6]]}
 
 RAYS = {"r": 2.7755575615628914e-17, "boundaries": [0.3966429520069594, 1.0, 3.538235694630649, 4.0],
         "sector_colors": [1, 2, 3, 4], "boundary_colors": [0, 5, 0, 6]}
@@ -92,11 +94,18 @@ CASES = [
     Case("verify-rays-at-1e-15", ("verify", DOC, "--tolerance", "1e-15"), RAYS, stdout=("proper",)),
     Case("verify-rays-at-1e-14", ("verify", DOC, "--tolerance", "1e-14"), RAYS, code=1, stdout=("color=0",)),
     # solve: abstract graphs (C101 is past the old 64-vertex cap; C511 and
-    # C512 sit at the 512-vertex cap, where the search recurses 512 deep).
+    # C512 sit at the 512-vertex cap).
     Case("solve-c5", ("solve", DOC), _cycle(5), stdout=("chi=3",)),
     Case("solve-c101", ("solve", DOC), _cycle(101), stdout=("chi=3",)),
     Case("solve-c511", ("solve", DOC), _cycle(511), stdout=("chi=3",)),
     Case("solve-c512", ("solve", DOC), _cycle(512), stdout=("chi=2",)),
+    # Level 2 fails and level 3 succeeds, each resumed from the greedy
+    # descent.  Beside a 505-cycle, level 3 resumes inside the small graph
+    # and recurses about 510 deep, at the 512-vertex cap.
+    Case("solve-below-greedy", ("solve", DOC), BELOW_GREEDY, stdout=("chi=3", "assignment=1,0,1,2,0,1,2")),
+    Case("solve-below-greedy-at-the-cap", ("solve", DOC),
+         {"n": 512, "edges": BELOW_GREEDY["edges"] + [[7 + i, 7 + (i + 1) % 505] for i in range(505)]},
+         stdout=("chi=3",)),
     Case("solve-deep-json", ("solve", DOC), DEEP, code=2, stderr=("*is not valid JSON*",)),
     Case("solve-int-document", ("solve", DOC), "5", code=2, stderr=("error: graph: expected an object, got int",)),
     Case("solve-bad-edge", ("solve", DOC), {"n": 3, "edges": [[0, 1], [1, "x"]]},

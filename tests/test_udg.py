@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -297,12 +298,32 @@ class TestChromaticNumber:
 
     @pytest.mark.parametrize("n, chi", [(511, 3), (512, 2)])
     def test_cycles_at_the_cap(self, n, chi):
-        # The search recurses once per vertex: up to the cap it stays under
-        # Python's default recursion limit.
         g = _cycle(n)
         result, witness = chromatic_number_exact(g)
         assert result == chi
         assert is_proper(g, witness)
+
+    def test_a_level_recurses_to_the_cap(self):
+        # A level's search recurses once per vertex: up to the cap it stays
+        # under Python's default recursion limit.  Beside a 505-cycle, the
+        # 7-vertex graph has clique [1, 2] and takes 4 greedy colors: the
+        # descent pauses inside it, and level 3 resumes there and recurses
+        # through the cycle.
+        small = [(0, 1), (0, 3), (1, 2), (1, 3), (2, 4), (2, 6), (3, 5), (4, 5), (4, 6), (5, 6)]
+        g = UnitDistanceGraph(MAX_VERTICES, small + [(7 + i, 7 + (i + 1) % 505) for i in range(505)])
+        (chi, witness), _, deepest = _extend_calls(chromatic_number_exact, g)
+        assert chi == 3
+        assert is_proper(g, witness)
+        assert deepest >= 500
+
+    @pytest.mark.parametrize("n", [1001, 2001])
+    def test_greedy_coloring_of_long_odd_cycles(self, n):
+        # The greedy descent is a loop, not a recursion: it colors graphs
+        # past the solver's cap and Python's default recursion limit.
+        g = _cycle(n)
+        coloring = greedy_coloring(g)
+        assert is_proper(g, coloring)
+        assert max(coloring) == 2
 
 
 def _cycle(n: int) -> UnitDistanceGraph:
@@ -408,13 +429,20 @@ class TestReferenceIdentity:
 
     def test_every_level_paints_the_greedy_clique_first(self):
         # The search pre-colors nothing: its first picks are the greedy
-        # clique's vertices in order, each forced to the next new color.  At
-        # every k from |clique| to chi, failing levels included, it matches
-        # the reference search that pre-colors the clique 0, 1, 2, ...
+        # clique's vertices in order, each forced to the next new color.
+        # Every level k from |clique| up, failing levels included, resumes
+        # from the greedy descent's pause before color k.  It matches the
+        # reference search that pre-colors the clique 0, 1, 2, ..., and it
+        # makes every node of the search from the root but the pause's
+        # depth + 1 on the descent's path.
         rng = random.Random(2016)
         graphs = []
         for i in range(240):
             n, p = rng.randrange(1, 30), 0.1 + 0.8 * i / 239
+            graphs.append((f"G({n}, {p:.2f})", _gnp(rng, n, p)))
+        # Larger graphs, where more levels above chi resume from a pause.
+        for i in range(60):
+            n, p = rng.randrange(30, 40), 0.1 + 0.5 * i / 59
             graphs.append((f"G({n}, {p:.2f})", _gnp(rng, n, p)))
         graphs += [(f"M{k}", mycielski(k, random.Random(k))) for k in (3, 4, 5)]
         graphs += list(_minkowski_graphs())
@@ -423,16 +451,27 @@ class TestReferenceIdentity:
             clique = greedy_clique(graph)
             coloring = greedy_coloring(graph)
             assert [coloring[v] for v in clique] == list(range(len(clique))), label
+            masks = list(graph.masks)
             groups = udg._degree_groups(graph.masks)
-            for k in range(len(clique), chromatic_number_exact(graph)[0] + 1):
-                got = udg._color_with_limit(graph.masks, k, groups)
-                assert got == reference_color_with_limit(list(graph.masks), k, clique), (label, k)
+            chi = chromatic_number_exact(graph)[0]
+            ks = []
+            for trail, colors, near, level in udg._greedy_descent(graph.masks, groups, len(clique), [-1] * graph.n):
+                k = len(near)
+                ks.append(k)
+                depth = len(trail)
+                got, nodes, _ = _extend_calls(udg._color_with_limit, graph.masks, groups, trail, colors, near, level)
+                assert got == reference_color_with_limit(masks, k, clique), (label, k)
+                assert nodes == _extend_calls(reference_color_with_limit, masks, k, [])[1] - (depth + 1), (label, k)
                 levels += 1
                 if got is None:
+                    assert k < chi, (label, k)
                     failing += 1
                 else:
+                    assert k >= chi, (label, k)
                     assert [got[v] for v in clique] == list(range(len(clique))), (label, k)
-        assert levels >= 350 and failing >= 100, (levels, failing)
+            # One pause per color the descent adds past the clique's.
+            assert ks == list(range(len(clique), max(coloring) + 1)), label
+        assert failing >= 200 and levels - failing >= 50, (levels, failing)
 
     def test_clique_tie_on_degree_goes_to_the_lower_index(self):
         # 1 and 3 lead on degree and are not adjacent: 1 enters the clique,
@@ -441,6 +480,29 @@ class TestReferenceIdentity:
         assert greedy_clique(graph) == [1, 5]
         assert _same_as_reference(graph)
         assert chromatic_number_exact(graph)[0] == 3
+
+
+def _extend_calls(search, *args):
+    """search(*args), the number of calls it made to functions named extend, and how deep they nested."""
+    calls = depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, depth, deepest
+        if frame.f_code.co_name != "extend":
+            return
+        if event == "call":
+            calls += 1
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        result = search(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls, deepest
 
 
 def _minkowski_graphs():
