@@ -135,8 +135,10 @@ def cmd_construct(args) -> int:
 def _witness_problem(coloring, verdict, tolerance: float) -> str | None:
     """Why an improper verdict's witness fails a re-check by hypot and atan2 alone, or None.
 
-    Each point must be strictly inside its open sector's arc or within the
-    tolerance of its ray; the rest holds within the tolerance.
+    Each point's direction must lie within the tolerance of its piece's
+    closed arc, from its boundary to the next for a sector and the boundary
+    alone for a ray: a sector only a few ulps wide holds no float angle
+    strictly inside it.  The rest holds within the tolerance too.
     """
     (px, py), (qx, qy) = verdict.witness
     if abs(math.hypot(px - qx, py - qy) - 1.0) > tolerance:
@@ -144,11 +146,12 @@ def _witness_problem(coloring, verdict, tolerance: float) -> str | None:
     for label, (x, y) in zip(verdict.piece_labels, verdict.witness):
         kind, _, index = label.partition(" ")
         i = int(index)
-        offset = (math.atan2(y, x) - coloring.boundaries[i]) % TWO_PI
         if kind == "sector":
-            inside, color = 0.0 < offset < coloring.sector_width(i), coloring.sector_colors[i]
+            width, color = coloring.sector_width(i), coloring.sector_colors[i]
         else:
-            inside, color = min(offset, TWO_PI - offset) <= tolerance, coloring.boundary_colors[i]
+            width, color = 0.0, coloring.boundary_colors[i]
+        offset = (math.atan2(y, x) - coloring.boundaries[i]) % TWO_PI
+        inside = offset <= width + tolerance or TWO_PI - offset <= tolerance
         if not inside or color != verdict.color:
             return f"the {label} point is outside its piece, or the piece is not color {verdict.color}"
         if abs(math.hypot(x, y) - 0.5) > coloring.annulus.r + tolerance:

@@ -110,7 +110,7 @@ def unit_chord_angle(outer_radius: float) -> float:
     exists, and pi at R = 1/2, where it is a diameter.  Strictly decreasing
     in the radius.
     """
-    if outer_radius < 0.5:
+    if not outer_radius >= 0.5:  # NaN too
         raise ValueError(f"outer radius must be at least 1/2 for a unit chord to exist, got {outer_radius}")
     return 2.0 * math.asin(1.0 / (2.0 * outer_radius))
 

@@ -8,7 +8,9 @@ color-symmetry breaking, so small instances solve exactly and
 deterministically.  One greedy DSATUR descent runs per solve: its coloring
 bounds the search from above, and it pauses before each new color k from
 the clique's size up, where the search for a k-coloring resumes from its
-state instead of walking the same picks again from the root.
+state instead of walking the same picks again from the root.  That search
+is one recursion, which first tries the colors the descent left untried
+at each of its picks, deepest first.
 Vertex sets are Python ints used as bitsets (in the style of San Segundo
 et al. 2012): a graph is stored as one int of neighbours per vertex, and
 its edge list is derived from them.  _color_with_limit describes the
@@ -266,9 +268,13 @@ def _color_with_limit(masks: tuple[int, ...], groups: list[int], trail: list, co
     greedy descent, whose picks take the lowest colors they can, until the
     pick that needs color k; there that node fails.  So this search starts
     at that pause, with the descent's state there, and backtracks into the
-    trail's frames, deepest first: each frame's paint is undone and the
-    colors left after the descent's choice are tried, with extend
-    searching below.  No clique needs pre-coloring: at any k >= |clique|
+    trail's frames, deepest first, undoing each frame's paint.  One
+    recursion does the rest: extend(v, bit, free, max_used, first) paints
+    v, with free the other uncolored vertices, each color from first up in
+    turn, and after each paint picks the next vertex and recurses on it
+    from color 0, unless that vertex already sees k colors.  A frame calls
+    it from the color after the descent's choice.  No clique needs
+    pre-coloring: at any k >= |clique|
     the first |clique| picks are _greedy_clique's vertices in its order,
     each forced to the next new color, since the free vertices next to
     every one painted so far form the top level.
@@ -293,29 +299,16 @@ def _color_with_limit(masks: tuple[int, ...], groups: list[int], trail: list, co
     """
     k = len(near)
 
-    def extend(free: int, max_used: int) -> bool:
-        if not free:
-            return True
-        # No vertex sees more colors than are in use.
-        s = max_used + 1
-        while not level[s] & free:
-            s -= 1
-        if s == k:
-            return False
-        choice = level[s] & free
-        for group in groups:
-            if pick := group & choice:
-                break
-        bit = pick & -pick
-        v = bit.bit_length() - 1
-        free ^= bit
+    def extend(v: int, bit: int, free: int, max_used: int, first: int) -> bool:
         neighbours = masks[v] & free
         # A new color only in order, and at most k of them.
-        for c in range(max_used + 2 if max_used < k - 1 else k):
+        for c in range(first, max_used + 2 if max_used < k - 1 else k):
             near_c = near[c]
             if near_c & bit:
                 continue
             colors[v] = c
+            if not free:
+                return True
             new = neighbours & ~near_c
             near[c] = near_c | new
             # A vertex of new is uncolored, so it sits in one level; it sees
@@ -331,8 +324,19 @@ def _color_with_limit(masks: tuple[int, ...], groups: list[int], trail: list, co
                 level[s + 1] |= moved
                 rest ^= moved
                 s -= 1
-            if extend(free, used):
-                return True
+            # No vertex sees more colors than are in use; one that sees k
+            # has none left, and its call would fail at once.
+            s = used + 1
+            while not level[s] & free:
+                s -= 1
+            if s < k:
+                choice = level[s] & free
+                for group in groups:
+                    if pick := group & choice:
+                        break
+                pick &= -pick
+                if extend(pick.bit_length() - 1, pick, free ^ pick, used, 0):
+                    return True
             near[c] = near_c
             rest = new
             s = used + 1
@@ -344,24 +348,12 @@ def _color_with_limit(masks: tuple[int, ...], groups: list[int], trail: list, co
                 s -= 1
         return False
 
-    # Each frame's paint undone, extend's color loop from the color after the descent's.
+    # Each frame's paint undone, then extend tries the colors after the descent's.
     for v, bit, chosen, max_used, free, moved in reversed(trail):
         near[chosen] ^= moved
         _move_down(level, moved, (chosen if chosen > max_used else max_used) + 1)
-        neighbours = masks[v] & free
-        for c in range(chosen + 1, max_used + 2 if max_used < k - 1 else k):
-            near_c = near[c]
-            if near_c & bit:
-                continue
-            colors[v] = c
-            new = neighbours & ~near_c
-            near[c] = near_c | new
-            used = c if c > max_used else max_used
-            _move_up(level, new, used)
-            if extend(free, used):
-                return colors
-            near[c] = near_c
-            _move_down(level, new, used + 1)
+        if extend(v, bit, free, max_used, chosen + 1):
+            return colors
     return None
 
 

@@ -226,6 +226,36 @@ class TestVerifyWitnessCheck:
         assert code == 1
         assert out.splitlines()[0] == "improper"
 
+    @pytest.mark.parametrize("past, code", [(1e-6, 3), (1e-10, 1)], ids=["beyond-tolerance", "within-tolerance"])
+    def test_witness_past_its_sector_end(self, capsys, tmp_path, monkeypatch, past, code):
+        # Sector 0 is [0, 1]; the first point lies past its end by more, or
+        # less, than the default tolerance 1e-9.
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps({"r": 0.1, "boundaries": [0.0, 1.0], "sector_colors": [0, 0],
+                                    "boundary_colors": [1, 2]}))
+        verdict = VerificationResult(proper=False, witness=_chord(0.55, 1.0 + past), color=0,
+                                     piece_labels=("sector 0", "sector 1"))
+        monkeypatch.setattr(cli, "verify_radial_coloring", lambda coloring, tolerance: verdict)
+        got, out, err = run(capsys, "verify", str(path))
+        assert got == code
+        assert ("independent check" in err) == (code == 3)
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+    def test_conflict_in_a_sector_a_few_ulps_wide(self, capsys, tmp_path, ulps):
+        # Sector 1, of color 0 like ray 0, spans a few ulps: no float angle
+        # lies strictly inside it, so its witness point sits on an end.
+        rng = random.Random(ulps)
+        path = tmp_path / "coloring.json"
+        for _ in range(50):
+            b = end = rng.uniform(1.4, 4.8)
+            for _ in range(ulps):
+                end = math.nextafter(end, 4.0 * math.pi)
+            path.write_text(json.dumps({"r": 0.3, "boundaries": [0.0, b, end], "sector_colors": [1, 0, 2],
+                                        "boundary_colors": [0, 1, 2]}))
+            code, out, err = run(capsys, "verify", str(path))
+            assert (code, err) == (1, ""), b
+            assert out.splitlines()[:2] == ["improper", "color=0"], b
+
 
 # Two colour-0 rays whose outer chord falls short of 1 by just under the
 # tolerance 1e-15; every other piece has a colour of its own.

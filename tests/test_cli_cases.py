@@ -84,6 +84,12 @@ CASES = [
     Case("verify-rays-diameter-tiny-r", ("verify", DOC),
          {"r": 1e-17, "boundaries": [0.0, math.pi], "sector_colors": [0, 0], "boundary_colors": [0, 0]},
          code=1, stdout=("improper", "witness=*")),
+    # Sector 1, one ulp wide, shares color 0 with ray 0: its witness point
+    # lies on the sector's end, within the tolerance of its closed arc.
+    Case("verify-one-ulp-sector", ("verify", DOC),
+         {"r": 0.3, "boundaries": [0.0, 2.0, math.nextafter(2.0, 3.0)], "sector_colors": [1, 0, 2],
+          "boundary_colors": [0, 1, 2]},
+         code=1, stdout=("improper", "color=0")),
     # Nesting past the parser's recursion limit is refused as malformed JSON.
     Case("verify-deep-json", ("verify", DOC), DEEP, code=2, stderr=("*is not valid JSON*",)),
     # A document that is not a JSON object is refused by name.

@@ -175,6 +175,11 @@ class TestUnitChordAngle:
         with pytest.raises(ValueError):
             unit_chord_angle(radius)
 
+    def test_nan_is_refused(self):
+        # NaN fails every comparison, so a guard reading R < 1/2 let it through.
+        with pytest.raises(ValueError, match="at least 1/2"):
+            unit_chord_angle(math.nan)
+
 
 class TestSectorDistanceInterval:
     def test_antipodal_segments(self):

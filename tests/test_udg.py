@@ -304,14 +304,14 @@ class TestChromaticNumber:
         assert is_proper(g, witness)
 
     def test_a_level_recurses_to_the_cap(self):
-        # A level's search recurses once per vertex: up to the cap it stays
-        # under Python's default recursion limit.  Beside a 505-cycle, the
-        # 7-vertex graph has clique [1, 2] and takes 4 greedy colors: the
-        # descent pauses inside it, and level 3 resumes there and recurses
-        # through the cycle.
+        # A level's extend recurses once per vertex it paints below the
+        # trail frame it resumes: up to the cap it stays under Python's
+        # default recursion limit.  Beside a 505-cycle, the 7-vertex graph
+        # has clique [1, 2] and takes 4 greedy colors: the descent pauses
+        # inside it, and level 3 resumes there and recurses through the cycle.
         small = [(0, 1), (0, 3), (1, 2), (1, 3), (2, 4), (2, 6), (3, 5), (4, 5), (4, 6), (5, 6)]
         g = UnitDistanceGraph(MAX_VERTICES, small + [(7 + i, 7 + (i + 1) % 505) for i in range(505)])
-        (chi, witness), _, deepest = _extend_calls(chromatic_number_exact, g)
+        (chi, witness), *_, deepest = _extend_calls(chromatic_number_exact, g)
         assert chi == 3
         assert is_proper(g, witness)
         assert deepest >= 500
@@ -432,9 +432,12 @@ class TestReferenceIdentity:
         # clique's vertices in order, each forced to the next new color.
         # Every level k from |clique| up, failing levels included, resumes
         # from the greedy descent's pause before color k.  It matches the
-        # reference search that pre-colors the clique 0, 1, 2, ..., and it
-        # makes every node of the search from the root but the pause's
-        # depth + 1 on the descent's path.
+        # reference search that pre-colors the clique 0, 1, 2, ...  Its
+        # top-level extend calls are the trail's frames, deepest first, all
+        # of them when the level fails, and the calls extend makes itself
+        # are the nodes of the search from the root that paint, but the
+        # pause's depth on the descent's path: a vertex that sees k colors
+        # is never called.
         rng = random.Random(2016)
         graphs = []
         for i in range(240):
@@ -459,9 +462,12 @@ class TestReferenceIdentity:
                 k = len(near)
                 ks.append(k)
                 depth = len(trail)
-                got, nodes, _ = _extend_calls(udg._color_with_limit, graph.masks, groups, trail, colors, near, level)
+                got, calls, nested, _, _ = _extend_calls(
+                    udg._color_with_limit, graph.masks, groups, trail, colors, near, level)
                 assert got == reference_color_with_limit(masks, k, clique), (label, k)
-                assert nodes == _extend_calls(reference_color_with_limit, masks, k, [])[1] - (depth + 1), (label, k)
+                assert calls - nested == depth if got is None else 1 <= calls - nested <= depth, (label, k)
+                painting = _extend_calls(reference_color_with_limit, masks, k, [])[3]
+                assert nested == painting - depth, (label, k)
                 levels += 1
                 if got is None:
                     assert k < chi, (label, k)
@@ -483,26 +489,30 @@ class TestReferenceIdentity:
 
 
 def _extend_calls(search, *args):
-    """search(*args), the number of calls it made to functions named extend, and how deep they nested."""
-    calls = depth = deepest = 0
+    """search(*args) and, of its calls to functions named extend: how many, how many another extend made, how many called paint, and how deep they nested."""
+    calls = nested = painting = deepest = 0
+    open_calls: list[bool] = []  # per extend call still running: whether it has called paint
 
     def profile(frame, event, arg):
-        nonlocal calls, depth, deepest
-        if frame.f_code.co_name != "extend":
-            return
-        if event == "call":
+        nonlocal calls, nested, painting, deepest
+        name = frame.f_code.co_name
+        if name == "extend" and event == "call":
             calls += 1
-            depth += 1
-            deepest = max(deepest, depth)
-        elif event == "return":
-            depth -= 1
+            nested += bool(open_calls)
+            open_calls.append(False)
+            deepest = max(deepest, len(open_calls))
+        elif name == "extend" and event == "return":
+            open_calls.pop()
+        elif name == "paint" and event == "call" and open_calls and not open_calls[-1]:
+            open_calls[-1] = True
+            painting += 1
 
     sys.setprofile(profile)
     try:
         result = search(*args)
     finally:
         sys.setprofile(None)
-    return result, calls, deepest
+    return result, calls, nested, painting, deepest
 
 
 def _minkowski_graphs():

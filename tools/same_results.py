@@ -15,6 +15,11 @@ older checkout if it is not there; equal lines mean equal results.
   verify_improper inputs of perfbench.
 - solve: chromatic_number_exact, greedy_clique and greedy_coloring on the
   seed 1-3 solve suites of perfbench and on the Mycielski graph M6.
+- levels: (k, udg._color_with_limit(...)) at every pause of
+  udg._greedy_descent on the same graphs, levels that fail and levels
+  above the chromatic number included.  It calls udg's private search
+  functions by their present names and signatures, so it runs only at a
+  commit that has them.
 """
 
 from __future__ import annotations
@@ -66,15 +71,29 @@ def verify_results():
                 yield op.run()
 
 
-def solve_results():
+def solve_graphs():
     graphs = [udg.graph_from_json(data) for seed in SEEDS for _, data, _ in gen.solve_suite(random.Random(seed))]
     graphs.append(mycielski(6))
-    for graph in graphs:
+    return graphs
+
+
+def solve_results():
+    for graph in solve_graphs():
         yield udg.chromatic_number_exact(graph), udg.greedy_clique(graph), udg.greedy_coloring(graph)
 
 
+def level_results():
+    for graph in solve_graphs():
+        masks = graph.masks
+        groups = udg._degree_groups(masks)
+        first = len(udg._greedy_clique(masks, groups))
+        for trail, colors, near, level in udg._greedy_descent(masks, groups, first, [-1] * graph.n):
+            yield len(near), udg._color_with_limit(masks, groups, trail, colors, near, level)
+
+
 def main() -> None:
-    for name, results in (("pairs", pair_results()), ("verify", verify_results()), ("solve", solve_results())):
+    for name, results in (("pairs", pair_results()), ("verify", verify_results()), ("solve", solve_results()),
+                          ("levels", level_results())):
         count, digest = _digest(results)
         print(f"{name} {count} {digest}", flush=True)
 
